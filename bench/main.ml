@@ -7,8 +7,6 @@
      dune exec bench/main.exe -- fig10a micro # selected sections only
      dune exec bench/main.exe -- --timeout 30 # per-series deadline (secs)
      dune exec bench/main.exe -- --jobs 4     # series points in parallel
-     dune exec bench/main.exe -- --chase-engine naive  # ablation baseline
-     dune exec bench/main.exe -- --no-sat-cdcl         # chronological SAT
 
    Sections: fig10a fig10b fig11a fig11c fig11d table1 table2
              ablation-n ablation-backend micro sat incremental chaos
@@ -79,23 +77,6 @@ let () =
             if Filename.check_suffix path ".folded" then Telemetry.write_folded oc
             else Telemetry.write_chrome_trace oc;
             close_out oc);
-        strip_opts rest
-    | [ "--chase-engine" ] ->
-        Fmt.epr "--chase-engine needs an argument (delta|naive)@.";
-        exit 2
-    | "--chase-engine" :: name :: rest -> (
-        match Conddep_chase.Chase.engine_of_string name with
-        | Some e ->
-            Conddep_chase.Chase.set_default_engine e;
-            strip_opts rest
-        | None ->
-            Fmt.epr "--chase-engine expects 'delta' or 'naive', got %S@." name;
-            exit 2)
-    | "--sat-cdcl" :: rest ->
-        Conddep_sat.Solver.set_default_mode Conddep_sat.Solver.Cdcl;
-        strip_opts rest
-    | "--no-sat-cdcl" :: rest ->
-        Conddep_sat.Solver.set_default_mode Conddep_sat.Solver.Chrono;
         strip_opts rest
     | a :: rest -> a :: strip_opts rest
   in

@@ -2,7 +2,6 @@ open Bechamel
 open Toolkit
 open Conddep_relational
 open Conddep_core
-open Conddep_chase
 open Conddep_generator
 
 (* Bechamel micro-benchmarks: one Test.make per table and figure of the
@@ -128,7 +127,7 @@ let tests () =
       (Staged.stage (fun () -> Sigma.holds B.dirty_db B.sigma));
   ]
 
-(* --- parallel execution + hot-path indexing micro section -------------------
+(* --- parallel execution micro section ----------------------------------------
 
    Measures the PR-tracked perf trajectory and writes it to
    BENCH_parallel.json:
@@ -140,10 +139,7 @@ let tests () =
      verdict is asserted bit-identical across jobs counts.  The JSON
      records the machine's [recommended_domain_count] so a 1-core CI
      container's flat numbers read as what they are.
-   - The chase witness-scan vs witness-index ablation, single-threaded:
-     the same IND chase over a growing relation with [indexed:false]
-     (per-step O(|R|) projection scans) and [indexed:true] (memoized
-     projection index) — results asserted identical. *)
+   - The batch facade: [check_many] against N singleton [check] calls. *)
 
 let needle_schema_config relations =
   {
@@ -165,50 +161,8 @@ let needle_workload ~seed ~relations ~cinds =
   in
   (schema, { sigma with Sigma.ncinds = cinds })
 
-(* A chase input where witness scans dominate: N seed tuples in [lhs], one
-   pattern-free CIND into [rhs] — every tuple needs a fresh witness, and
-   the unindexed chase re-scans the growing [rhs] per candidate per step. *)
-let indexing_workload ~n =
-  let attrs () =
-    [
-      Conddep_relational.Attribute.make "a" Conddep_relational.Domain.string_inf;
-      Conddep_relational.Attribute.make "b" Conddep_relational.Domain.string_inf;
-    ]
-  in
-  let schema =
-    Db_schema.make
-      [
-        Conddep_relational.Schema.make "lhs" (attrs ());
-        Conddep_relational.Schema.make "rhs" (attrs ());
-      ]
-  in
-  let cind =
-    {
-      Cind.nf_name = "copy";
-      nf_lhs = "lhs";
-      nf_rhs = "rhs";
-      nf_x = [ "a" ];
-      nf_y = [ "a" ];
-      nf_xp = [];
-      nf_yp = [];
-    }
-  in
-  let compiled = Chase.compile schema { Sigma.ncfds = []; ncinds = [ cind ] } in
-  let db =
-    List.fold_left
-      (fun db i ->
-        Template.add db "lhs"
-          [|
-            Template.C (Value.Str (Printf.sprintf "a%d" i));
-            Template.C (Value.Str (Printf.sprintf "b%d" i));
-          |])
-      (Template.empty schema)
-      (List.init n Fun.id)
-  in
-  (schema, compiled, db)
-
 let parallel_section () =
-  Util.header "Parallel execution + hot-path indexing (BENCH_parallel.json)";
+  Util.header "Parallel execution (BENCH_parallel.json)";
   let schema, sigma = needle_workload ~seed:3 ~relations:8 ~cinds:20 in
   let k = 96 in
   let check jobs =
@@ -279,31 +233,6 @@ let parallel_section () =
     (Printf.sprintf "check_many n=%d jobs=4" n_batch)
     batch4_s;
   Util.row "batch verdicts bit-identical to singletons: %b@." batch_identical;
-  let ischema, icompiled, idb = indexing_workload ~n:300 in
-  let chase ~indexed () =
-    Chase.run ~indexed
-      ~config:{ Chase.default_config with threshold = 100_000; max_steps = 100_000 }
-      ~rng:(Rng.make 11) ischema icompiled idb
-  in
-  let outcome_tuples = function
-    | Chase.Terminal t -> Some (List.length (Template.tuples t "rhs"))
-    | Chase.Undefined _ | Chase.Exhausted _ -> None
-  in
-  let scan_r = ref None and index_r = ref None in
-  Util.with_series_metrics "micro-parallel/index=off" (fun () ->
-      let r, s = Util.time (chase ~indexed:false) in
-      scan_r := Some (r, s));
-  Util.with_series_metrics "micro-parallel/index=on" (fun () ->
-      let r, s = Util.time (chase ~indexed:true) in
-      index_r := Some (r, s));
-  let (scan_out, scan_s), (index_out, index_s) =
-    (Option.get !scan_r, Option.get !index_r)
-  in
-  assert (outcome_tuples scan_out = outcome_tuples index_out);
-  Util.row "%-28s %-12.4f (per-step O(|R|) witness scans)@." "chase unindexed" scan_s;
-  Util.row "%-28s %-12.4f (memoized projection index)@." "chase indexed" index_s;
-  Util.row "indexing speedup: %.2fx; identical chase results: true@."
-    (if index_s > 0. then scan_s /. index_s else Float.nan);
   let jobs1_s = List.assoc "random_checking_needle_jobs1_s" !timings in
   let jobs4_s = List.assoc "random_checking_needle_jobs4_s" !timings in
   let oc = open_out "BENCH_parallel.json" in
@@ -315,10 +244,6 @@ let parallel_section () =
   j oc "  \"needle_speedup_jobs4\": %.4f,\n"
     (if jobs4_s > 0. then jobs1_s /. jobs4_s else Float.nan);
   j oc "  \"verdicts_identical_across_jobs\": %b,\n" identical;
-  j oc "  \"chase_unindexed_s\": %.6f,\n" scan_s;
-  j oc "  \"chase_indexed_s\": %.6f,\n" index_s;
-  j oc "  \"indexing_speedup\": %.4f,\n"
-    (if index_s > 0. then scan_s /. index_s else Float.nan);
   j oc "  \"batch_singletons_s\": %.6f,\n" single_s;
   j oc "  \"batch_check_many_jobs1_s\": %.6f,\n" batch1_s;
   j oc "  \"batch_check_many_jobs4_s\": %.6f,\n" batch4_s;
@@ -407,117 +332,7 @@ let profile_section () =
   close_out oc;
   Util.row "wrote BENCH_profile.json@."
 
-(* --- delta-driven chase micro section ----------------------------------------
-
-   Naive vs delta fixpoint engine on the copy micro, N-sweep, written to
-   BENCH_chase.json.  The workload adds a never-firing CFD (rhs: a -> b,
-   all-wildcard) to [indexing_workload]: both engines must re-verify it
-   after every IND insert, which costs the naive engine a full pass over
-   all pairs of the growing [rhs] per step (O(N^3) total) while the delta
-   engine checks only (dirty tuple x relation) pairs (O(N^2) total).  The
-   engines follow the same canonical schedule, so outcomes and final
-   templates are asserted identical; counter deltas (tuples drained,
-   re-checks skipped) are recorded alongside wall-clock. *)
-
-let chase_workload ~n =
-  let schema, _, db = indexing_workload ~n in
-  let cind =
-    {
-      Cind.nf_name = "copy";
-      nf_lhs = "lhs";
-      nf_rhs = "rhs";
-      nf_x = [ "a" ];
-      nf_y = [ "a" ];
-      nf_xp = [];
-      nf_yp = [];
-    }
-  in
-  let cfd =
-    {
-      Cfd.nf_name = "fd";
-      nf_rel = "rhs";
-      nf_x = [ "a" ];
-      nf_a = "b";
-      nf_tx = [ Pattern.Wildcard ];
-      nf_ta = Pattern.Wildcard;
-    }
-  in
-  let compiled =
-    Chase.compile schema { Sigma.ncfds = [ cfd ]; ncinds = [ cind ] }
-  in
-  (schema, compiled, db)
-
-let chase_section () =
-  Util.header "Delta-driven chase: naive vs delta engine N-sweep (BENCH_chase.json)";
-  let m_drained = Telemetry.counter "chase.delta.drained" in
-  let m_skipped = Telemetry.counter "chase.delta.skipped" in
-  let config =
-    { Chase.default_config with threshold = 100_000; max_steps = 1_000_000 }
-  in
-  let ns = [ 50; 100; 200; 400 ] in
-  let rows = ref [] in
-  Util.row "%-8s %-12s %-12s %-9s %-10s %-10s %-10s@." "n" "naive(s)"
-    "delta(s)" "speedup" "drained" "skipped" "identical";
-  List.iter
-    (fun n ->
-      let schema, compiled, db = chase_workload ~n in
-      let run engine () =
-        Chase.run ~engine ~config ~rng:(Rng.make 11) schema compiled db
-      in
-      let naive_r = ref None and delta_r = ref None in
-      let counters = ref (0, 0) in
-      Util.with_series_metrics (Printf.sprintf "micro-chase/engine=naive/n=%d" n)
-        (fun () -> naive_r := Some (Util.time (run `Naive)));
-      Util.with_series_metrics (Printf.sprintf "micro-chase/engine=delta/n=%d" n)
-        (fun () ->
-          let d0 = Telemetry.count m_drained and s0 = Telemetry.count m_skipped in
-          delta_r := Some (Util.time (run `Delta));
-          counters :=
-            (Telemetry.count m_drained - d0, Telemetry.count m_skipped - s0));
-      let (naive_out, naive_s), (delta_out, delta_s) =
-        (Option.get !naive_r, Option.get !delta_r)
-      in
-      let identical =
-        match (naive_out, delta_out) with
-        | Chase.Terminal t1, Chase.Terminal t2 -> Template.equal t1 t2
-        | Chase.Undefined r1, Chase.Undefined r2 -> String.equal r1 r2
-        | Chase.Exhausted r1, Chase.Exhausted r2 -> r1 = r2
-        | _ -> false
-      in
-      assert identical;
-      let speedup = if delta_s > 0. then naive_s /. delta_s else Float.nan in
-      let drained, skipped = !counters in
-      Util.row "%-8d %-12.4f %-12.4f %-9.2f %-10d %-10d %-10b@." n naive_s
-        delta_s speedup drained skipped identical;
-      rows := (n, naive_s, delta_s, speedup, drained, skipped) :: !rows)
-    ns;
-  let rows = List.rev !rows in
-  let largest_n, _, _, top_speedup, _, _ =
-    List.nth rows (List.length rows - 1)
-  in
-  let oc = open_out "BENCH_chase.json" in
-  let j = Printf.fprintf in
-  j oc "{\n";
-  j oc "  \"series\": [\n";
-  List.iteri
-    (fun i (n, naive_s, delta_s, speedup, drained, skipped) ->
-      j oc
-        "    {\"n\": %d, \"naive_s\": %.6f, \"delta_s\": %.6f, \"speedup\": \
-         %.4f, \"drained\": %d, \"skipped\": %d}%s\n"
-        n naive_s delta_s speedup drained skipped
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  j oc "  ],\n";
-  j oc "  \"largest_n\": %d,\n" largest_n;
-  j oc "  \"delta_speedup\": %.4f,\n" top_speedup;
-  j oc "  \"results_identical\": true\n";
-  j oc "}\n";
-  close_out oc;
-  Util.row "wrote BENCH_chase.json (delta speedup at n=%d: %.2fx)@." largest_n
-    top_speedup
-
 let run () =
-  chase_section ();
   parallel_section ();
   profile_section ();
   Util.header "Bechamel micro-benchmarks (one per table/figure)";

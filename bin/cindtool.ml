@@ -586,9 +586,8 @@ let sat_cmd =
         Fmt.epr "%s: %s@." path msg;
         exit_usage
     | Ok cnf -> (
-        Fmt.pr "c %s: %d vars, %d clauses, engine=%s@." (Filename.basename path)
-          (Cnf.num_vars cnf) (Cnf.num_clauses cnf)
-          (Solver.mode_to_string (Solver.default_mode ()));
+        Fmt.pr "c %s: %d vars, %d clauses@." (Filename.basename path)
+          (Cnf.num_vars cnf) (Cnf.num_clauses cnf);
         match Solver.solve cnf with
         | Solver.Sat model ->
             (* Check the model before trusting it: a wrong model here is a
@@ -624,9 +623,8 @@ let sat_cmd =
   Cmd.v
     (Cmd.info "sat" ~exits
        ~doc:
-         "Solve a DIMACS CNF file with the built-in SAT solver (CDCL by \
-          default; $(b,--no-sat-cdcl) selects the chronological ablation \
-          engine).  Exit 0 with a verified $(b,v) model line when \
+         "Solve a DIMACS CNF file with the built-in CDCL SAT solver.  \
+          Exit 0 with a verified $(b,v) model line when \
           satisfiable, 1 when unsatisfiable, 3 when a budget \
           ($(b,--timeout), $(b,--fuel)) ran out first.")
     Term.(const run $ file)
@@ -1031,8 +1029,6 @@ type globals = {
   g_timeout : float option;
   g_fuel : int option;
   g_jobs : int option;
-  g_engine : Conddep_chase.Chase.engine option;
-  g_sat_mode : Conddep_sat.Solver.mode option;
   g_retries : int option;
   g_no_degrade : bool;
 }
@@ -1066,13 +1062,6 @@ let extract_globals argv =
     | Some n when n >= 1 -> Ok (Some n)
     | _ -> Error (Printf.sprintf "--jobs expects a positive domain count, got %S" s)
   in
-  let engine_of s =
-    match Conddep_chase.Chase.engine_of_string s with
-    | Some e -> Ok (Some e)
-    | None ->
-        Error
-          (Printf.sprintf "--chase-engine expects 'delta' or 'naive', got %S" s)
-  in
   let retries_of s =
     match int_of_string_opt s with
     | Some n when n >= 0 -> Ok (Some n)
@@ -1100,15 +1089,6 @@ let extract_globals argv =
         match jobs_of n with
         | Ok j -> go { g with g_jobs = j } rest
         | Error _ as e -> e)
-    | [ "--chase-engine" ] -> Error "option --chase-engine needs an argument"
-    | "--chase-engine" :: name :: rest -> (
-        match engine_of name with
-        | Ok e -> go { g with g_engine = e } rest
-        | Error _ as e -> e)
-    | "--sat-cdcl" :: rest ->
-        go { g with g_sat_mode = Some Conddep_sat.Solver.Cdcl } rest
-    | "--no-sat-cdcl" :: rest ->
-        go { g with g_sat_mode = Some Conddep_sat.Solver.Chrono } rest
     | "--no-degrade" :: rest -> go { g with g_no_degrade = true } rest
     | [ "--retries" ] -> Error "option --retries needs an argument"
     | "--retries" :: n :: rest -> (
@@ -1142,19 +1122,12 @@ let extract_globals argv =
                         | Ok j -> go { g with g_jobs = j } rest
                         | Error _ as e -> e)
                     | None -> (
-                        match split_eq "--chase-engine=" arg with
-                        | Some name -> (
-                            match engine_of name with
-                            | Ok e -> go { g with g_engine = e } rest
+                        match split_eq "--retries=" arg with
+                        | Some n -> (
+                            match retries_of n with
+                            | Ok r -> go { g with g_retries = r } rest
                             | Error _ as e -> e)
-                        | None -> (
-                            match split_eq "--retries=" arg with
-                            | Some n -> (
-                                match retries_of n with
-                                | Ok r -> go { g with g_retries = r } rest
-                                | Error _ as e -> e)
-                            | None ->
-                                go { g with g_rest = arg :: g.g_rest } rest))))))
+                        | None -> go { g with g_rest = arg :: g.g_rest } rest)))))
   in
   go
     {
@@ -1165,8 +1138,6 @@ let extract_globals argv =
       g_timeout = None;
       g_fuel = None;
       g_jobs = None;
-      g_engine = None;
-      g_sat_mode = None;
       g_retries = None;
       g_no_degrade = false;
     }
@@ -1230,23 +1201,6 @@ let setup_guard ~timeout ~fuel =
 let setup_jobs ~jobs =
   match jobs with
   | Some j -> Parallel.set_default_jobs j
-  | None -> ()
-
-(* --chase-engine sets the process-wide default every ?engine parameter
-   inherits; both engines compute bit-identical results, so this is an
-   ablation/debugging switch, not a semantic one. *)
-let setup_engine ~engine =
-  match engine with
-  | Some e -> Conddep_chase.Chase.set_default_engine e
-  | None -> ()
-
-(* --sat-cdcl/--no-sat-cdcl set the process-wide default SAT engine every
-   ?mode parameter inherits; both engines are complete and return identical
-   verdicts (models may differ), so — like --chase-engine — this is an
-   ablation/debugging switch, not a semantic one. *)
-let setup_sat_mode ~sat_mode =
-  match sat_mode with
-  | Some m -> Conddep_sat.Solver.set_default_mode m
   | None -> ()
 
 (* Unlike the library (whose default keeps supervision off so embedded
@@ -1314,26 +1268,6 @@ let () =
          from $(b,gen)'s own $(b,--profile) option).  See also the \
          $(b,profile) subcommand, which prints a self-time table instead.";
       `P
-        "$(b,--chase-engine) $(i,ENGINE) (anywhere on the command line) \
-         selects the chase fixpoint engine: $(b,delta) (default) drains \
-         dirty-tuple worklists and re-checks only dependencies whose \
-         left-hand relation was touched; $(b,naive) rescans every candidate \
-         at each step (the ablation baseline).  Both engines follow the \
-         same canonical operation schedule and produce bit-identical \
-         verdicts, witnesses and exit codes at any $(b,--jobs) count; only \
-         wall-clock time changes.";
-      `P
-        "$(b,--sat-cdcl) / $(b,--no-sat-cdcl) (anywhere on the command \
-         line) select the SAT engine behind the consistency checkers and \
-         the $(b,sat) subcommand: $(b,--sat-cdcl) (the default) is the \
-         CDCL core — first-UIP clause learning, non-chronological \
-         backjumping, EVSIDS branching, LBD-scored learned-clause \
-         deletion; $(b,--no-sat-cdcl) falls back to the pre-learning \
-         chronological search (the ablation baseline, mirroring \
-         $(b,--chase-engine naive)).  Both engines are complete and return \
-         identical satisfiability verdicts and exit codes; satisfying \
-         models and wall-clock time may differ.";
-      `P
         "$(b,--retries) $(i,N) (anywhere on the command line) allows up to \
          $(i,N) supervised re-runs of an operation that failed transiently \
          (an injected fault, a local allocation ceiling) before the \
@@ -1344,12 +1278,11 @@ let () =
          give-ups are never retried.";
       `P
         "$(b,--no-degrade) (anywhere on the command line) disables the \
-         degradation ladder (parallel to sequential, delta chase to naive, \
-         SAT to chase).  By default, when retries are exhausted the tool \
-         steps down to the next slower verdict-identical path and reports \
-         each step at exit as $(b,cindtool: degraded: ...) on stderr; with \
-         this flag the failure surfaces immediately as an undetermined \
-         answer (exit 3).";
+         degradation ladder (parallel to sequential, SAT to chase).  By \
+         default, when retries are exhausted the tool steps down to the \
+         next slower verdict-identical path and reports each step at exit \
+         as $(b,cindtool: degraded: ...) on stderr; with this flag the \
+         failure surfaces immediately as an undetermined answer (exit 3).";
     ]
   in
   let info =
@@ -1372,8 +1305,6 @@ let () =
       setup_profiling ~profile:g.g_profile ~table:profile_table;
       setup_guard ~timeout:g.g_timeout ~fuel:g.g_fuel;
       setup_jobs ~jobs:g.g_jobs;
-      setup_engine ~engine:g.g_engine;
-      setup_sat_mode ~sat_mode:g.g_sat_mode;
       setup_supervision ~retries:g.g_retries ~no_degrade:g.g_no_degrade;
       let argv = Array.of_list (Sys.argv.(0) :: g.g_rest) in
       let group =

@@ -17,7 +17,6 @@ let pp_verdict ppf = function
   | Unknown r -> Fmt.pf ppf "unknown (%s)" (Guard.reason_to_string r)
 
 type backend = Cfd_checking.backend = Chase_backend | Sat_backend
-type engine = Chase.engine
 
 (* Layers that don't take an explicit [?policy] still honour the ambient
    one; scoping it here gives the facade its uniform option. *)
@@ -29,23 +28,23 @@ let of_checking = function
   | Checking.Inconsistent -> No
   | Checking.Unknown r -> Unknown r
 
-let check ?backend ?budget ?policy ?jobs ?engine ?config ?k ?k_cfd ?recorder
+let check ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd ?recorder
     ~rng schema sigma =
   of_checking
-    (Checking.check ?backend ?budget ?policy ?jobs ?engine ?config ?k ?k_cfd
+    (Checking.check ?backend ?budget ?policy ?jobs ?config ?k ?k_cfd
        ?recorder ~rng schema sigma)
 
-let check_many ?backend ?budget ?policy ?jobs ?chunk ?engine ?config ?k ?k_cfd
+let check_many ?backend ?budget ?policy ?jobs ?chunk ?config ?k ?k_cfd
     ~rng schema sigmas =
   List.map of_checking
-    (Checking.check_many ?backend ?budget ?policy ?jobs ?chunk ?engine ?config
+    (Checking.check_many ?backend ?budget ?policy ?jobs ?chunk ?config
        ?k ?k_cfd ~rng schema sigmas)
 
-let random_check ?budget ?policy ?jobs ?engine ?config ?k ?k_cfd ?seed_rels
+let random_check ?budget ?policy ?jobs ?config ?k ?k_cfd ?seed_rels
     ~rng schema sigma =
   with_policy policy @@ fun () ->
   match
-    Random_checking.check ?budget ?engine ?config ?k ?k_cfd ?seed_rels ?jobs
+    Random_checking.check ?budget ?config ?k ?k_cfd ?seed_rels ?jobs
       ~rng schema sigma
   with
   | Random_checking.Consistent db -> Yes (Some db)
@@ -69,19 +68,19 @@ let of_consistent_rel ?avoid schema ~rel = function
          exhaustion lands here. *)
       Unknown Guard.Fuel
 
-let consistent ?(backend = Chase_backend) ?budget ?policy ?jobs:_ ?engine
-    ?avoid ?k_cfd ?recorder ~rng schema cfds ~rel =
+let consistent ?(backend = Chase_backend) ?budget ?policy ?avoid ?k_cfd
+    ?recorder ~rng schema cfds ~rel =
   match
-    Cfd_checking.consistent_rel ~backend ?policy ?budget ?engine ?avoid ?k_cfd
+    Cfd_checking.consistent_rel ~backend ?policy ?budget ?avoid ?k_cfd
       ?recorder ~rng schema cfds ~rel
   with
   | r -> of_consistent_rel ?avoid schema ~rel r
   | exception Guard.Exhausted r -> Unknown r
 
 let consistent_many ?(backend = Chase_backend) ?budget ?policy ?jobs ?chunk
-    ?engine ?avoid ?k_cfd ~rng schema cfds ~rels =
+    ?avoid ?k_cfd ~rng schema cfds ~rels =
   let results =
-    Cfd_checking.consistent_many ~backend ?policy ?budget ?engine ?avoid
+    Cfd_checking.consistent_many ~backend ?policy ?budget ?avoid
       ?k_cfd ?jobs ?chunk ~rng schema cfds ~rels
   in
   List.map2
@@ -95,7 +94,7 @@ let of_outcome = function
   | Implication.Not_implied -> No
   | Implication.Undetermined r -> Unknown r
 
-let implies ?budget ?policy ?jobs:_ ?max_states ?recorder schema ~sigma psi =
+let implies ?budget ?policy ?max_states ?recorder schema ~sigma psi =
   with_policy policy @@ fun () ->
   of_outcome (Implication.decide ?budget ?max_states ?recorder schema ~sigma psi)
 
@@ -109,9 +108,9 @@ let implies_cfd ?budget ?policy ?max_nodes schema ~sigma phi =
   with_policy policy @@ fun () ->
   of_outcome (Cfd_implication.decide ?budget ?max_nodes schema ~sigma phi)
 
-let preprocess ?backend ?budget ?policy ?engine ?k_cfd ~rng schema sigma =
+let preprocess ?backend ?budget ?policy ?k_cfd ~rng schema sigma =
   with_policy policy @@ fun () ->
-  match Preprocessing.run ?backend ?budget ?engine ?k_cfd ~rng schema sigma with
+  match Preprocessing.run ?backend ?budget ?k_cfd ~rng schema sigma with
   | Preprocessing.Consistent db -> Yes (Some db)
   | Preprocessing.Inconsistent -> No
   | Preprocessing.Unknown _components -> Unknown Guard.Fuel

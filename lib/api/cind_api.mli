@@ -7,10 +7,10 @@ open Conddep_consistency
     external users).  Every decision procedure in the library is exposed
     here as a three-valued {!verdict} with a uniform option set —
     [?budget] (shared {!Guard} budget, default ambient), [?policy]
-    (supervision, default ambient), [?jobs] (domains for the
-    work-stealing runtime, default {!Parallel.default_jobs}) and
-    [?engine] (chase engine, where a chase is involved) — plus a
-    [_many] batch form wherever the underlying layer offers one.
+    (supervision, default ambient) and, where a call can use more than
+    one domain, [?jobs] (domains for the work-stealing runtime, default
+    {!Parallel.default_jobs}) — plus a [_many] batch form wherever the
+    underlying layer offers one.
 
     The facade never changes answers: every function is a thin,
     documented mapping onto the corresponding [lib/core] /
@@ -42,10 +42,7 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 type backend = Cfd_checking.backend =
   | Chase_backend  (** heuristic, K_CFD-bounded (Fig 10a, "chase") *)
-  | Sat_backend  (** complete, DPLL-based (Fig 10a, "SAT4j") *)
-
-type engine = Chase.engine
-(** [`Delta] (dirty-tuple worklists) or [`Naive] (full re-scan). *)
+  | Sat_backend  (** complete, CDCL-based (Fig 10a, "SAT4j") *)
 
 (** {1 Consistency of Σ (CINDs + CFDs, Algorithm Checking)} *)
 
@@ -54,7 +51,6 @@ val check :
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
   ?jobs:int ->
-  ?engine:engine ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -77,7 +73,6 @@ val check_many :
   ?policy:Supervise.Policy.t ->
   ?jobs:int ->
   ?chunk:int ->
-  ?engine:engine ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -97,7 +92,6 @@ val random_check :
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
   ?jobs:int ->
-  ?engine:engine ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -116,8 +110,6 @@ val consistent :
   ?backend:backend ->
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
-  ?jobs:int ->
-  ?engine:engine ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   ?recorder:Read_set.t ->
@@ -132,8 +124,7 @@ val consistent :
     forced-propagation contradiction from [Chase_backend].
     [Unknown Guard.Fuel] is reserved for [Chase_backend]'s genuine
     heuristic give-up (its K_CFD-bounded search proves nothing by
-    failing).  A single relation decides sequentially; [jobs] is
-    accepted for uniformity and reserved.  Maps
+    failing).  A single relation decides sequentially.  Maps
     {!Cfd_checking.consistent_rel}. *)
 
 val consistent_many :
@@ -142,7 +133,6 @@ val consistent_many :
   ?policy:Supervise.Policy.t ->
   ?jobs:int ->
   ?chunk:int ->
-  ?engine:engine ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   rng:Rng.t ->
@@ -160,7 +150,6 @@ val consistent_many :
 val implies :
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
-  ?jobs:int ->
   ?max_states:int ->
   ?recorder:Read_set.t ->
   Db_schema.t ->
@@ -169,8 +158,7 @@ val implies :
   verdict
 (** Exact CIND implication [Σ |= ψ] (Theorems 3.4/3.5).  [Yes None] /
     [No] are exact; [Unknown Guard.Fuel] past [max_states] explored
-    shapes.  A single goal decides sequentially; [jobs] is accepted for
-    uniformity and reserved.  [recorder] collects the CINDs found
+    shapes.  A single goal decides sequentially.  [recorder] collects the CINDs found
     applicable during the search (see {!Read_set}).  Maps
     {!Implication.decide}. *)
 
@@ -206,7 +194,6 @@ val preprocess :
   ?backend:backend ->
   ?budget:Guard.t ->
   ?policy:Supervise.Policy.t ->
-  ?engine:engine ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->

@@ -19,7 +19,7 @@ open Conddep_core
    threshold T; exceeding it makes the chase undefined (Section 5.2).  A
    step budget guards against ping-pong between pool re-use and merging.
 
-   Two engines implement one *canonical schedule* (see DESIGN.md §10):
+   The fixpoint follows one *canonical schedule* (see DESIGN.md §10):
 
    - the next FD operation is the first CFD in compiled order that has a
      violating pair, applied to the lexicographically least such pair
@@ -29,13 +29,13 @@ open Conddep_core
      CINDs (resuming after the last applied one — fairness), applied to
      the least triggering tuple without a witness.
 
-   Because the schedule is a function of template *content* only, the
-   [`Naive] engine (recompute candidates by full rescans at every step)
-   and the [`Delta] engine (dirty-tuple worklists; only tuples added or
-   rewritten since they were last checked are re-examined) perform the
-   same operation sequence, consume the random stream identically, and
-   return bit-identical outcomes — the differential guarantee the
-   equivalence property test enforces. *)
+   The engine is delta-driven: dirty-tuple worklists mean only tuples
+   added or rewritten since they were last checked are re-examined.
+   Because the schedule is a function of template *content* only, a naive
+   fixpoint that rescans everything at every step (built from [fd_step]
+   and [ind_step]) performs the same operation sequence, consumes the
+   random stream identically, and returns bit-identical outcomes — the
+   differential guarantee the test suite checks. *)
 
 type config = {
   pool_size : int; (* N: maximum size of each var[A] *)
@@ -62,26 +62,6 @@ type outcome =
   | Terminal of Template.t
   | Undefined of string
   | Exhausted of Guard.reason
-
-(* --- engine selection ---
-
-   The delta engine is the default; the naive engine is kept as the
-   ablation baseline behind [--chase-engine].  The process-wide default
-   mirrors [Parallel.set_default_jobs]: the CLI sets it once, libraries
-   resolve it at entry points. *)
-
-type engine = [ `Delta | `Naive ]
-
-let default_engine_flag = Atomic.make true (* true = `Delta *)
-let set_default_engine e = Atomic.set default_engine_flag (e = `Delta)
-let default_engine () : engine = if Atomic.get default_engine_flag then `Delta else `Naive
-let resolve_engine = function Some e -> e | None -> default_engine ()
-let engine_to_string = function `Delta -> "delta" | `Naive -> "naive"
-
-let engine_of_string = function
-  | "delta" -> Some `Delta
-  | "naive" -> Some `Naive
-  | _ -> None
 
 (* --- compiled constraints (attribute names resolved to positions) --- *)
 
@@ -260,29 +240,15 @@ let fd_consider cfd best t1 t2 =
   if not better then best
   else match fd_violation cfd u v with None -> best | Some act -> Some (u, v, act)
 
-(* First CFD (compiled order) with a violating pair; least pair.  Full
-   rescan: every unordered pair, self-pairs included. *)
-let fd_pick_naive cfds db =
-  let rec go = function
-    | [] -> None
-    | cfd :: rest -> (
-        let tuples = Template.tuples db cfd.f_rel in
-        let rec outer best = function
-          | [] -> best
-          | t1 :: more ->
-              let best =
-                List.fold_left (fun best t2 -> fd_consider cfd best t1 t2) best
-                  (t1 :: more)
-              in
-              outer best more
-        in
-        match outer None tuples with
-        | Some (_, _, act) -> Some act
-        | None -> go rest)
-  in
-  go cfds
+(* The least violating pair of [cfd] among (pending × all) pairs, self-pairs
+   included. *)
+let fd_least cfd pending all =
+  List.fold_left
+    (fun best p -> List.fold_left (fun best t -> fd_consider cfd best p t) best all)
+    None pending
 
-(* Same selection over (dirty × relation) pairs only.  Invariant: every
+(* First CFD (compiled order) with a violating pair; least pair — searched
+   over (dirty × relation) pairs only.  Invariant: every
    violating pair contains at least one dirty tuple — initially all tuples
    are dirty, a pair of clean tuples was examined violation-free and both
    its tuples are unchanged since (substitutions enqueue the rewritten
@@ -300,36 +266,24 @@ let fd_pick_delta cfds db (dirty : worklist) =
             Telemetry.add m_drained (List.length live);
             Telemetry.add m_skipped
               (max 0 (Template.cardinal db cfd.f_rel - List.length live));
-            let best =
-              List.fold_left
-                (fun best p ->
-                  List.fold_left (fun best t -> fd_consider cfd best p t) best all)
-                None live
-            in
-            match best with
+            match fd_least cfd live all with
             | Some (_, _, act) -> Some act
             | None -> go rest))
   in
   go cfds
 
-(* One FD saturation pass shared by both engines.  [max_steps] is local
-   fuel (fresh per pass, like the old per-call [fd_fixpoint] bound);
-   [on_delta] observes every substitution's tuple-level change set — the
-   delta engine feeds it back into its worklists and the witness index.
-   On a violation-free pass the delta engine's FD worklists are cleared:
-   together with the invariant above this certifies there is no violating
-   pair at all. *)
-let fd_saturate ~engine ~budget ~max_steps ~on_delta cfds (dirty : worklist) db =
+(* One FD saturation pass.  [max_steps] is local fuel (fresh per pass,
+   like the old per-call [fd_fixpoint] bound); [on_delta] observes every
+   substitution's tuple-level change set, which the caller feeds back into
+   its worklists and the witness index.  On a violation-free pass the FD
+   worklists are cleared: together with the invariant above this certifies
+   there is no violating pair at all. *)
+let fd_saturate ~budget ~max_steps ~on_delta cfds (dirty : worklist) db =
   let fuel = Guard.make ~fuel:max_steps () in
   let rec go db =
-    let pick =
-      match engine with
-      | `Naive -> fd_pick_naive cfds db
-      | `Delta -> fd_pick_delta cfds db dirty
-    in
-    match pick with
+    match fd_pick_delta cfds db dirty with
     | None ->
-        (match engine with `Delta -> Hashtbl.reset dirty | `Naive -> ());
+        Hashtbl.reset dirty;
         Ok db
     | Some (Act_clash why) ->
         Telemetry.incr m_fd_undefined;
@@ -350,13 +304,15 @@ let fd_saturate ~engine ~budget ~max_steps ~on_delta cfds (dirty : worklist) db 
   in
   go db
 
-(* One FD(φ) application (canonical least violating pair) — kept as a
-   building block for tests and callers stepping manually. *)
+(* One FD(φ) application (canonical least violating pair, found by a full
+   rescan) — kept as a building block for tests and callers stepping
+   manually. *)
 let fd_step cfd db =
-  match fd_pick_naive [ cfd ] db with
+  let all = Template.tuples db cfd.f_rel in
+  match fd_least cfd all all with
   | None -> Fd_unchanged
-  | Some (Act_clash why) -> Fd_undefined why
-  | Some (Act_subst bindings) ->
+  | Some (_, _, Act_clash why) -> Fd_undefined why
+  | Some (_, _, Act_subst bindings) ->
       Fd_changed
         (List.fold_left (fun db (var, cell) -> Template.subst db var cell) db bindings)
 
@@ -365,26 +321,23 @@ let fd_step cfd db =
    may absorb (a failed heuristic attempt); shared-budget exhaustion also
    surfaces as [Exhausted] but with the shared budget marked spent, which
    callers must propagate (Guard.recoverable makes the distinction). *)
-let fd_fixpoint ?budget ?engine ?(max_steps = 10_000) cfds db =
+let fd_fixpoint ?budget ?(max_steps = 10_000) cfds db =
   let budget = Guard.resolve budget in
-  let engine = resolve_engine engine in
   let dirty = wl_create () in
   let on_delta ~before:_ ~after:_ (d : Template.delta) =
-    if engine = `Delta then
-      List.iter (fun (rel, t) -> wl_push dirty rel t) d.Template.d_added
+    List.iter (fun (rel, t) -> wl_push dirty rel t) d.Template.d_added
   in
-  (if engine = `Delta then
-     let seeded = Hashtbl.create 8 in
-     List.iter
-       (fun cfd ->
-         if not (Hashtbl.mem seeded cfd.f_rel) then begin
-           Hashtbl.add seeded cfd.f_rel ();
-           List.iter (wl_push dirty cfd.f_rel) (Template.tuples db cfd.f_rel)
-         end)
-       cfds);
+  let seeded = Hashtbl.create 8 in
+  List.iter
+    (fun cfd ->
+      if not (Hashtbl.mem seeded cfd.f_rel) then begin
+        Hashtbl.add seeded cfd.f_rel ();
+        List.iter (wl_push dirty cfd.f_rel) (Template.tuples db cfd.f_rel)
+      end)
+    cfds;
   try
     Guard.probe ~budget "chase.fd_fixpoint";
-    match fd_saturate ~engine ~budget ~max_steps ~on_delta cfds dirty db with
+    match fd_saturate ~budget ~max_steps ~on_delta cfds dirty db with
     | Ok db -> Terminal db
     | Error why -> Undefined why
   with Guard.Exhausted r ->
@@ -422,7 +375,7 @@ let has_witness cind db (ta : Template.tuple) =
    list: templates are persistent and share untouched relation stores, so
    [ix_src != Template.tuples db rel] exactly means *that relation*
    changed since the last refresh.  A stale index is rebuilt in one O(|R|)
-   pass; the delta engine avoids even that by maintaining the entries
+   pass; the IND cursor avoids even that by maintaining the entries
    incrementally (multiset semantics: two RHS tuples may share a key, so
    inserts [Hashtbl.add] and deletions [Hashtbl.remove] one binding). *)
 
@@ -489,17 +442,7 @@ let cind_index_for (wix : witness_index) cind db =
   end;
   ix
 
-(* Fold a just-inserted RHS tuple into the index: the caller probed
-   against the current template immediately before the insert, so the
-   entry is fresh. *)
-let index_note_add (wix : witness_index) cind db' tb =
-  match Hashtbl.find_opt wix cind.i_uid with
-  | None -> ()
-  | Some ix ->
-      Hashtbl.add ix.ix_tbl (witness_key ix cind tb) ();
-      ix.ix_src <- Template.tuples db' cind.i_rhs
-
-(* Delta-engine maintenance: apply one insert / one substitution delta to
+(* Incremental maintenance: apply one insert / one substitution delta to
    every *materialized* index whose RHS relation was rewritten and whose
    entries were fresh w.r.t. the pre-change template.  Anything else is
    left stale and lazily rebuilt on next use — never corrupted. *)
@@ -579,21 +522,12 @@ let ind_min_firing cind ~witnessed candidates =
       | _ -> if triggers cind ta && not (witnessed ta) then Some ta else best)
     None candidates
 
-let witnessed_fun ?index cind db =
-  match index with
-  | None -> fun ta -> has_witness cind db ta
-  | Some wix ->
-      let ix = cind_index_for wix cind db in
-      fun ta -> Hashtbl.mem ix.ix_tbl (probe_key ix cind ta)
-
-(* One IND(ψ) application to the least triggering tuple without witness.
-   The relation-size threshold T is enforced unconditionally — Section 5.1
-   frames the whole extension as a chase over bounded-size tables.
-   [?index] memoizes the witness check across steps; the indexed and
-   unindexed paths compute the same boolean, so results are identical
-   (the bench compares them for the pre/post-indexing numbers). *)
-let ind_step ?index ~instantiated ~threshold pool rng schema cind db =
-  let witnessed = witnessed_fun ?index cind db in
+(* One IND(ψ) application to the least triggering tuple without witness,
+   found by a full rescan (witness checks scan the RHS relation).  The
+   relation-size threshold T is enforced unconditionally — Section 5.1
+   frames the whole extension as a chase over bounded-size tables. *)
+let ind_step ~instantiated ~threshold pool rng schema cind db =
+  let witnessed = has_witness cind db in
   match ind_min_firing cind ~witnessed (Template.tuples db cind.i_lhs) with
   | None -> Ind_unchanged
   | Some ta ->
@@ -606,11 +540,7 @@ let ind_step ?index ~instantiated ~threshold pool rng schema cind db =
       else begin
         Telemetry.incr m_ind_steps;
         let tb = witness_tuple ~instantiated pool rng schema cind ta in
-        let db' = Template.add db cind.i_rhs tb in
-        (match index with
-        | Some wix -> index_note_add wix cind db' tb
-        | None -> ());
-        Ind_changed db'
+        Ind_changed (Template.add db cind.i_rhs tb)
       end
 
 (* --- round-robin IND cursor --------------------------------------------------
@@ -620,17 +550,18 @@ let ind_step ?index ~instantiated ~threshold pool rng schema cind db =
    resumes after the last applied CIND (wrapping), so every CIND is
    visited between two applications of any one of them — fairness.
 
-   With the [`Delta] engine the cursor keeps one pending worklist per
-   CIND, holding exactly the tuples that could newly fire it: seeded with
-   the LHS relation, extended by inserts into that relation (via
-   [note_*]), shrunk when a full evaluation finds a tuple non-firing.
+   The cursor keeps one pending worklist per CIND, holding exactly the
+   tuples that could newly fire it: seeded with the LHS relation, extended
+   by inserts into that relation (via [note_*]), shrunk when a full
+   evaluation finds a tuple non-firing.
    Non-firing is stable — inserts only ever *add* witnesses, and a
    substitution re-enqueues every rewritten tuple while a witness for an
    untouched tuple keeps its key (equal cells stay equal under uniform
    substitution, and tp[Yp] positions hold constants) — so clean tuples
    never need re-examination.  If the template changes without
    notification (physical identity mismatch), the worklists are reseeded
-   from scratch, which costs exactly one naive scan. *)
+   from scratch, which costs exactly one full scan.  Witness checks go
+   through a witness index the cursor owns. *)
 
 module Ind_cursor = struct
   type step_result =
@@ -642,8 +573,7 @@ module Ind_cursor = struct
     c_cinds : compiled_cind array;
     c_cind_list : compiled_cind list;
     c_by_lhs : (int, int list) Hashtbl.t; (* Interner.symbol lhs -> indices *)
-    c_engine : engine;
-    c_index : witness_index option;
+    c_index : witness_index;
     c_pool : Pool.t;
     c_schema : Db_schema.t;
     c_instantiated : bool;
@@ -653,7 +583,7 @@ module Ind_cursor = struct
     c_pending : Template.tuple list ref array;
   }
 
-  let create ?index ~engine ~instantiated ~threshold pool schema cinds =
+  let create ~instantiated ~threshold pool schema cinds =
     let arr = Array.of_list cinds in
     let by_lhs = Hashtbl.create 16 in
     Array.iteri
@@ -666,8 +596,7 @@ module Ind_cursor = struct
       c_cinds = arr;
       c_cind_list = cinds;
       c_by_lhs = by_lhs;
-      c_engine = engine;
-      c_index = index;
+      c_index = witness_index ();
       c_pool = pool;
       c_schema = schema;
       c_instantiated = instantiated;
@@ -687,28 +616,22 @@ module Ind_cursor = struct
      relations cannot newly fire (triggering looks at the LHS relation
      only), so only the worklists of CINDs with that LHS grow. *)
   let note_insert t ~before ~after rel tuple =
-    if t.c_engine = `Delta then begin
-      (match t.c_index with
-      | Some wix -> index_note_insert wix t.c_cind_list ~before ~after rel tuple
-      | None -> ());
-      match t.c_known with
-      | Some k when k == before ->
-          (match Hashtbl.find_opt t.c_by_lhs (Interner.symbol rel) with
-          | Some idxs ->
-              List.iter (fun i -> t.c_pending.(i) := tuple :: !(t.c_pending.(i))) idxs
-          | None -> ());
-          t.c_known <- Some after
-      | _ -> t.c_known <- None (* unexpected history: reseed on next step *)
-    end
+    index_note_insert t.c_index t.c_cind_list ~before ~after rel tuple;
+    match t.c_known with
+    | Some k when k == before ->
+        (match Hashtbl.find_opt t.c_by_lhs (Interner.symbol rel) with
+        | Some idxs ->
+            List.iter (fun i -> t.c_pending.(i) := tuple :: !(t.c_pending.(i))) idxs
+        | None -> ());
+        t.c_known <- Some after
+    | _ -> t.c_known <- None (* unexpected history: reseed on next step *)
 
   (* A substitution happened: every rewritten tuple must be re-examined
      (the old versions go stale in the worklists and are filtered out on
      drain); the witness index is maintained from the exact delta. *)
   let note_subst t ~before ~after (d : Template.delta) =
-    if t.c_engine = `Delta && d.Template.d_removed <> [] then begin
-      (match t.c_index with
-      | Some wix -> index_note_subst wix t.c_cind_list ~before ~after d
-      | None -> ());
+    if d.Template.d_removed <> [] then begin
+      index_note_subst t.c_index t.c_cind_list ~before ~after d;
       match t.c_known with
       | Some k when k == before ->
           List.iter
@@ -728,14 +651,13 @@ module Ind_cursor = struct
     let n = Array.length t.c_cinds in
     if n = 0 then Step_none
     else begin
-      (if t.c_engine = `Delta then
-         match t.c_known with
-         | Some k when k == db -> ()
-         | _ ->
-             (* cold entry (or the caller rewrote the template without
-                telling us): fault-probed, then one full reseed *)
-             Guard.probe ?budget "chase.delta.drain";
-             reseed t db);
+      (match t.c_known with
+      | Some k when k == db -> ()
+      | _ ->
+          (* cold entry (or the caller rewrote the template without
+             telling us): fault-probed, then one full reseed *)
+          Guard.probe ?budget "chase.delta.drain";
+          reseed t db);
       let budget = Guard.resolve budget in
       let rec scan k =
         if k >= n then Step_none
@@ -743,23 +665,17 @@ module Ind_cursor = struct
           Guard.check budget;
           let j = (t.c_pos + k) mod n in
           let cind = t.c_cinds.(j) in
-          let witnessed = witnessed_fun ?index:t.c_index cind db in
-          let candidates =
-            match t.c_engine with
-            | `Naive -> Template.tuples db cind.i_lhs
-            | `Delta ->
-                let pending = !(t.c_pending.(j)) in
-                let live = List.filter (Template.mem db cind.i_lhs) pending in
-                Telemetry.add m_drained (List.length live);
-                Telemetry.add m_skipped
-                  (max 0 (Template.cardinal db cind.i_lhs - List.length live));
-                live
-          in
-          match ind_min_firing cind ~witnessed candidates with
+          let ix = cind_index_for t.c_index cind db in
+          let witnessed ta = Hashtbl.mem ix.ix_tbl (probe_key ix cind ta) in
+          let live = List.filter (Template.mem db cind.i_lhs) !(t.c_pending.(j)) in
+          Telemetry.add m_drained (List.length live);
+          Telemetry.add m_skipped
+            (max 0 (Template.cardinal db cind.i_lhs - List.length live));
+          match ind_min_firing cind ~witnessed live with
           | None ->
               (* every candidate evaluated non-firing: clean until the
                  next insert or substitution re-enqueues something *)
-              if t.c_engine = `Delta then t.c_pending.(j) := [];
+              t.c_pending.(j) := [];
               scan (k + 1)
           | Some ta ->
               if Template.cardinal db cind.i_rhs >= t.c_threshold then begin
@@ -775,16 +691,11 @@ module Ind_cursor = struct
                     t.c_schema cind ta
                 in
                 let db' = Template.add db cind.i_rhs tb in
-                (match t.c_index with
-                | Some wix when t.c_engine = `Naive -> index_note_add wix cind db' tb
-                | _ -> ());
                 t.c_pos <- (j + 1) mod n;
-                if t.c_engine = `Delta then begin
-                  (* candidates other than ta stay pending: the ones after
-                     the minimum may not have been fully evaluated *)
-                  t.c_pending.(j) := List.filter (fun c -> c != ta) candidates;
-                  note_insert t ~before:db ~after:db' cind.i_rhs tb
-                end;
+                (* candidates other than ta stay pending: the ones after
+                   the minimum may not have been fully evaluated *)
+                t.c_pending.(j) := List.filter (fun c -> c != ta) live;
+                note_insert t ~before:db ~after:db' cind.i_rhs tb;
                 Step_applied { db = db'; rel = cind.i_rhs; tuple = tb }
               end
         end
@@ -798,37 +709,31 @@ end
 (* The terminal chase: apply FD and IND operations until fixpoint.  With
    [instantiated] set this is chase_I of Section 5.2 (bounded relations,
    constants for finite-domain fields). *)
-let run ?(instantiated = false) ?(indexed = true) ?engine ?budget ~config ~rng schema
-    compiled db =
+let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
   Telemetry.incr m_runs;
-  let engine = resolve_engine engine in
   let budget = Guard.resolve budget in
   Telemetry.with_span "chase.run" @@ fun () ->
   let pool = Pool.make ~n:config.pool_size in
-  let index = if indexed then Some (witness_index ()) else None in
   let cursor =
-    Ind_cursor.create ?index ~engine ~instantiated ~threshold:config.threshold pool
-      schema compiled.cinds
+    Ind_cursor.create ~instantiated ~threshold:config.threshold pool schema
+      compiled.cinds
   in
   (* Relations constrained by some CFD: the only ones whose tuples belong
      on the FD worklists. *)
   let cfd_rels = Hashtbl.create 8 in
   List.iter (fun cfd -> Hashtbl.replace cfd_rels cfd.f_rel ()) compiled.cfds;
   let fd_dirty = wl_create () in
-  (if engine = `Delta then
-     Hashtbl.iter
-       (fun rel () -> List.iter (wl_push fd_dirty rel) (Template.tuples db rel))
-       cfd_rels);
+  Hashtbl.iter
+    (fun rel () -> List.iter (wl_push fd_dirty rel) (Template.tuples db rel))
+    cfd_rels;
   (* Every substitution feeds the FD worklists (rewritten tuples can form
      new violating pairs) and the cursor (rewritten tuples can newly
      trigger a CIND; the witness index is maintained from the delta). *)
   let on_delta ~before ~after (d : Template.delta) =
-    if engine = `Delta then begin
-      List.iter
-        (fun (rel, t) -> if Hashtbl.mem cfd_rels rel then wl_push fd_dirty rel t)
-        d.Template.d_added;
-      Ind_cursor.note_subst cursor ~before ~after d
-    end
+    List.iter
+      (fun (rel, t) -> if Hashtbl.mem cfd_rels rel then wl_push fd_dirty rel t)
+      d.Template.d_added;
+    Ind_cursor.note_subst cursor ~before ~after d
   in
   (* config.max_steps is local fuel for the IND loop, replacing the bare
      step counter; each iteration also polls the shared budget's clock
@@ -837,8 +742,8 @@ let run ?(instantiated = false) ?(indexed = true) ?engine ?budget ~config ~rng s
   let rec go db =
     Guard.check budget;
     match
-      fd_saturate ~engine ~budget ~max_steps:config.max_steps ~on_delta compiled.cfds
-        fd_dirty db
+      fd_saturate ~budget ~max_steps:config.max_steps ~on_delta compiled.cfds fd_dirty
+        db
     with
     | Error why -> Undefined why
     | Ok db -> (
@@ -847,13 +752,12 @@ let run ?(instantiated = false) ?(indexed = true) ?engine ?budget ~config ~rng s
         | Ind_cursor.Step_overflow why -> Undefined why
         | Ind_cursor.Step_applied { db = db'; rel; tuple } ->
             Guard.tick fuel;
-            if engine = `Delta && Hashtbl.mem cfd_rels rel then
-              wl_push fd_dirty rel tuple;
+            if Hashtbl.mem cfd_rels rel then wl_push fd_dirty rel tuple;
             go db')
   in
   try
     Guard.probe ~budget "chase.run";
-    if engine = `Delta then Guard.probe ~budget "chase.delta";
+    Guard.probe ~budget "chase.delta";
     go db
   with Guard.Exhausted r ->
     Telemetry.incr m_budget_exceeded;

@@ -27,31 +27,18 @@ type outcome =
       (** the step fuel, the shared budget or an armed fault stopped the
           chase before a fixpoint; the result is unknown, not undefined *)
 
-(** {1 Fixpoint engines}
+(** {1 The fixpoint engine}
 
-    Both engines execute the same canonical operation schedule (first CFD
-    in compiled order with a violating pair, least pair; round-robin CIND
-    cursor, least firing tuple — see DESIGN.md §10), so for equal inputs
-    and random seeds they produce bit-identical outcomes and final
-    templates.  [`Naive] recomputes every candidate by full rescans at
-    each step — the ablation baseline; [`Delta] (default) drains
-    dirty-tuple worklists, re-examining only tuples added or rewritten
-    since they were last checked, and maintains the witness index
-    incrementally through FD value-merges. *)
-
-type engine = [ `Delta | `Naive ]
-
-val default_engine : unit -> engine
-(** Process-wide default, [`Delta] unless overridden (cf.
-    [cindtool --chase-engine]). *)
-
-val set_default_engine : engine -> unit
-
-val resolve_engine : engine option -> engine
-(** [None] resolves to {!default_engine}. *)
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
+    The chase follows one canonical operation schedule (first CFD in
+    compiled order with a violating pair, least pair; round-robin CIND
+    cursor, least firing tuple — see DESIGN.md §10).  The engine is
+    delta-driven: it drains dirty-tuple worklists, re-examining only
+    tuples added or rewritten since they were last checked, and maintains
+    a witness index incrementally through FD value-merges.  Because the
+    schedule depends on template content only, a naive fixpoint that
+    iterates {!fd_step} and {!ind_step} by full rescans produces
+    bit-identical outcomes and final templates for equal inputs and random
+    seeds; the test suite keeps such a fixpoint as the oracle. *)
 
 (** {1 Compiled constraints} *)
 
@@ -71,11 +58,11 @@ type fd_result =
   | Fd_undefined of string
 
 val fd_step : compiled_cfd -> Template.t -> fd_result
-(** One FD(φ) application to the canonical least violating pair, if any. *)
+(** One FD(φ) application to the canonical least violating pair, if any,
+    found by a full rescan of the relation. *)
 
 val fd_fixpoint :
   ?budget:Guard.t ->
-  ?engine:engine ->
   ?max_steps:int ->
   compiled_cfd list ->
   Template.t ->
@@ -83,28 +70,14 @@ val fd_fixpoint :
 (** Chase with CFDs only, to fixpoint — the core of CFD_Checking.
     [max_steps] is a local fuel bound (exhaustion yields
     [Exhausted Guard.Fuel]); [budget] (default: ambient) is the shared
-    deadline/fuel/cancellation budget; [engine] defaults to the process
-    default — both engines return identical results. *)
+    deadline/fuel/cancellation budget. *)
 
 type ind_result =
   | Ind_changed of Template.t
   | Ind_unchanged
   | Ind_overflow of string  (** threshold T exceeded (instantiated mode) *)
 
-type witness_index
-(** Memoized per-CIND projection index over RHS relations: turns the
-    per-tuple witness scan of {!ind_step} into a hash lookup keyed on
-    interned cell ids.  Owned by one chase run (not domain-safe);
-    staleness is detected by physical identity of the template, so any FD
-    substitution or foreign insert triggers a lazy O(|R|) rebuild while
-    own-relation inserts are folded in incrementally.  Indexed and
-    unindexed runs compute identical results. *)
-
-val witness_index : unit -> witness_index
-(** A fresh, empty index cache. *)
-
 val ind_step :
-  ?index:witness_index ->
   instantiated:bool ->
   threshold:int ->
   Pool.t ->
@@ -114,19 +87,22 @@ val ind_step :
   Template.t ->
   ind_result
 (** One IND(ψ) application to the least triggering tuple lacking a
-    witness.  [index] memoizes the witness check across steps; without it
-    each check scans the RHS relation. *)
+    witness, found by a full rescan; each witness check scans the RHS
+    relation. *)
 
 (** {1 Round-robin IND cursor}
 
     The scan for the next IND operation resumes after the last applied
     CIND (wrapping), so every CIND is visited between two applications of
-    any single one — fairness.  With the [`Delta] engine the cursor keeps
-    a dirty worklist per CIND and re-examines only tuples that could
-    newly fire; callers that mutate the template themselves either notify
-    it ({!Ind_cursor.note_subst}) or let the physical-identity check
-    trigger a reseed (one naive scan).  Used by {!run} and by
-    RandomChecking's interleaved chase. *)
+    any single one — fairness.  The cursor keeps a dirty worklist per CIND
+    and re-examines only tuples that could newly fire; callers that mutate
+    the template themselves either notify it ({!Ind_cursor.note_subst}) or
+    let the physical-identity check trigger a reseed (one full scan).
+    Witness checks are hash lookups in a per-CIND projection index keyed
+    on interned cell ids, owned by the cursor (not domain-safe): staleness
+    is detected by physical identity of the RHS relation, so an
+    unannounced rewrite triggers a lazy O(|R|) rebuild.  Used by {!run}
+    and by RandomChecking's interleaved chase. *)
 
 module Ind_cursor : sig
   type t
@@ -138,8 +114,6 @@ module Ind_cursor : sig
     | Step_overflow of string  (** threshold T refusal *)
 
   val create :
-    ?index:witness_index ->
-    engine:engine ->
     instantiated:bool ->
     threshold:int ->
     Pool.t ->
@@ -149,22 +123,20 @@ module Ind_cursor : sig
 
   val step : ?budget:Guard.t -> t -> rng:Rng.t -> Template.t -> step_result
   (** Find and apply the next IND operation under the canonical schedule.
-      Polls [budget]'s deadline per CIND visited; the delta engine's cold
-      reseed is fault-probed at site ["chase.delta.drain"]. *)
+      Polls [budget]'s deadline per CIND visited; a cold reseed is
+      fault-probed at site ["chase.delta.drain"]. *)
 
   val note_subst :
     t -> before:Template.t -> after:Template.t -> Template.delta -> unit
   (** Tell the cursor the template was rewritten by a substitution, with
       the exact change set: rewritten tuples are re-enqueued and the
-      witness index is maintained (no-op on the [`Naive] engine). *)
+      witness index is maintained. *)
 end
 
 (** {1 Full chase} *)
 
 val run :
   ?instantiated:bool ->
-  ?indexed:bool ->
-  ?engine:engine ->
   ?budget:Guard.t ->
   config:config ->
   rng:Rng.t ->
@@ -173,13 +145,9 @@ val run :
   Template.t ->
   outcome
 (** Run the chase to termination.  [instantiated:true] gives chase_I.
-    [indexed] (default [true]) memoizes witness checks with a
-    {!witness_index}; [indexed:false] keeps the O(|R|) scans (the bench's
-    pre-indexing baseline — results are identical either way).  [engine]
-    (default: process default) selects the fixpoint engine; both produce
-    bit-identical outcomes, the delta engine just gets there without
-    rescanning.  [config.max_steps] is enforced as local step fuel;
-    [budget] carries the caller's shared deadline/fuel. *)
+    [config.max_steps] is enforced as local step fuel; [budget] carries
+    the caller's shared deadline/fuel.  Fault probes ["chase.run"] and
+    ["chase.delta"] fire on entry. *)
 
 val conclusion_constants :
   Db_schema.t -> compiled_cfd list -> ((string * string) * Value.t) list

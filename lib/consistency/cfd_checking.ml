@@ -14,7 +14,7 @@ open Conddep_sat
    - [Chase]: the bounded chase described above (incomplete for small
      K_CFD — the accuracy experiment of Fig 10(b));
    - [Sat]: reduction of the single-tuple CSP to CNF, decided by the
-     complete DPLL solver (stands in for SAT4j). *)
+     complete CDCL solver (stands in for SAT4j). *)
 
 type backend =
   | Chase_backend
@@ -34,7 +34,7 @@ type template_outcome =
   | Contradiction
   | Exhausted_k
 
-let check_template_outcome ?budget ?engine ?(k_cfd = 100) ?(avoid = []) ~rng
+let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
     compiled_cfds db =
   Telemetry.incr m_calls;
   let budget = Guard.resolve budget in
@@ -42,7 +42,7 @@ let check_template_outcome ?budget ?engine ?(k_cfd = 100) ?(avoid = []) ~rng
   (* Local exhaustion of the fd-fixpoint's step fuel counts as a failed
      attempt (the heuristic gives up, as with K_CFD); exhaustion of the
      shared budget — or an injected fault — must surface to the caller. *)
-  match Chase.fd_fixpoint ~budget ?engine compiled_cfds db with
+  match Chase.fd_fixpoint ~budget compiled_cfds db with
   | Chase.Exhausted r when Guard.recoverable ~shared:budget r -> Exhausted_k
   | Chase.Exhausted r -> raise (Guard.Exhausted r)
   | Chase.Undefined _ ->
@@ -81,7 +81,7 @@ let check_template_outcome ?budget ?engine ?(k_cfd = 100) ?(avoid = []) ~rng
             else
               let () = Telemetry.incr m_kcfd_retries in
               let candidate = Chase.instantiate_finite_vars ~prefer ~avoid rng db in
-              match Chase.fd_fixpoint ~budget ?engine compiled_cfds candidate with
+              match Chase.fd_fixpoint ~budget compiled_cfds candidate with
               | Chase.Terminal done_db when Template.finite_variables done_db = [] ->
                   Instantiated done_db
               | Chase.Terminal _ | Chase.Undefined _ -> attempts (k - 1)
@@ -91,18 +91,18 @@ let check_template_outcome ?budget ?engine ?(k_cfd = 100) ?(avoid = []) ~rng
           in
           attempts k_cfd)
 
-let check_template ?budget ?engine ?k_cfd ?avoid ~rng compiled_cfds db =
+let check_template ?budget ?k_cfd ?avoid ~rng compiled_cfds db =
   match
-    check_template_outcome ?budget ?engine ?k_cfd ?avoid ~rng compiled_cfds db
+    check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled_cfds db
   with
   | Instantiated db -> Some db
   | Contradiction | Exhausted_k -> None
 
 (* Single-relation consistency via the chase backend: start from the
    single-tuple template τ(R). *)
-let consistent_rel_chase ?budget ?engine ?k_cfd ?avoid ~rng schema cfds ~rel =
+let consistent_rel_chase ?budget ?k_cfd ?avoid ~rng schema cfds ~rel =
   let compiled = List.map (Chase.compile_cfd schema) cfds in
-  check_template ?budget ?engine ?k_cfd ?avoid ~rng compiled
+  check_template ?budget ?k_cfd ?avoid ~rng compiled
     (Chase.seed_tuple schema ~rel)
 
 (* --- SAT-based CFD_Checking --- *)
@@ -222,7 +222,7 @@ type witness =
   | No_tuple
   | Gave_up
 
-let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?engine ?avoid ?k_cfd
+let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?avoid ?k_cfd
     ?recorder ~rng schema cfds ~rel =
   let cfds_on_rel = List.filter (fun nf -> String.equal nf.Cfd.nf_rel rel) cfds in
   Read_set.record_rel recorder rel;
@@ -231,7 +231,7 @@ let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?engine ?avoid ?k_
     Telemetry.incr m_chase_calls;
     let compiled = List.map (Chase.compile_cfd schema) cfds_on_rel in
     match
-      check_template_outcome ?budget ?engine ?k_cfd ?avoid ~rng compiled
+      check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled
         (Chase.seed_tuple schema ~rel)
     with
     | Contradiction -> No_tuple
@@ -269,7 +269,7 @@ let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?engine ?avoid ?k_
    [Guard.Exhausted] is caught into [Error reason] so one exhausted item
    (or a shared budget running dry mid-batch) cannot discard its
    siblings' finished answers. *)
-let consistent_many ?backend ?policy ?budget ?engine ?avoid ?k_cfd ?jobs ?chunk
+let consistent_many ?backend ?policy ?budget ?avoid ?k_cfd ?jobs ?chunk
     ~rng schema cfds ~rels =
   let budget = Guard.resolve budget in
   let jobs =
@@ -287,7 +287,7 @@ let consistent_many ?backend ?policy ?budget ?engine ?avoid ?k_cfd ?jobs ?chunk
   let items = List.combine (Rng.split_n rng n) rels in
   let run_one (rng_i, rel) =
     match
-      consistent_rel ?backend ?policy ~budget ?engine ?avoid ?k_cfd
+      consistent_rel ?backend ?policy ~budget ?avoid ?k_cfd
         ~rng:(Rng.copy rng_i) schema (group rel) ~rel
     with
     | t -> Ok t

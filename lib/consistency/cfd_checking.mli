@@ -5,7 +5,7 @@ open Conddep_chase
 (** Procedure CFD_Checking (Sections 5.2–5.3), in its two implementations
     compared in Fig 10(a): chase-based (heuristic, bounded by K_CFD random
     valuations of finite-domain variables) and SAT-based (complete, via the
-    DPLL solver standing in for SAT4j). *)
+    CDCL solver standing in for SAT4j). *)
 
 type backend =
   | Chase_backend
@@ -26,7 +26,6 @@ type template_outcome =
 
 val check_template_outcome :
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?k_cfd:int ->
   ?avoid:Value.t list ->
   rng:Rng.t ->
@@ -41,7 +40,6 @@ val check_template_outcome :
 
 val check_template :
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?k_cfd:int ->
   ?avoid:Value.t list ->
   rng:Rng.t ->
@@ -57,7 +55,6 @@ val check_template :
 
 val consistent_rel_chase :
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?k_cfd:int ->
   ?avoid:Value.t list ->
   rng:Rng.t ->
@@ -87,7 +84,6 @@ val consistent_rel :
   ?backend:backend ->
   ?policy:Supervise.Policy.t ->
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   ?recorder:Read_set.t ->
@@ -110,7 +106,6 @@ val consistent_many :
   ?backend:backend ->
   ?policy:Supervise.Policy.t ->
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?avoid:Value.t list ->
   ?k_cfd:int ->
   ?jobs:int ->

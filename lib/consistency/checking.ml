@@ -1,6 +1,5 @@
 open Conddep_relational
 open Conddep_core
-open Conddep_chase
 
 (* Algorithm Checking (Fig 9): preProcessing first; when it has no
    definitive answer, run RandomChecking on each remaining weakly connected
@@ -24,11 +23,11 @@ let m_components_tried = Telemetry.counter "checking.components_tried" ~doc:"wea
 
 (* One full pipeline (preProcessing + per-component RandomChecking) with a
    fixed backend. *)
-let pipeline ?backend ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema
+let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
     (sigma : Sigma.nf) =
   try
     Guard.probe ~budget "checking.check";
-    match Preprocessing.run ?backend ~budget ?engine ?k_cfd ~rng schema sigma with
+    match Preprocessing.run ?backend ~budget ?k_cfd ~rng schema sigma with
     | Preprocessing.Consistent db -> Consistent db
     | Preprocessing.Inconsistent -> Inconsistent
     | Preprocessing.Unknown components ->
@@ -41,7 +40,7 @@ let pipeline ?backend ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema
               Guard.check budget;
               Telemetry.incr m_components_tried;
               match
-                Random_checking.check ~budget ?engine ?config ?k ?k_cfd
+                Random_checking.check ~budget ?config ?k ?k_cfd
                   ~seed_rels:members ~jobs ~rng schema component_sigma
               with
               | Random_checking.Consistent db when Sigma.nf_holds db sigma ->
@@ -68,7 +67,7 @@ let pipeline ?backend ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema
      if the SAT pipeline ends [Unknown].
    The two verdicts cannot contradict: a verified witness proves Σ
    consistent, which a sound SAT [Inconsistent] would refute. *)
-let check_race ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
+let check_race ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
   (* Fixed split order: chase first, SAT second. *)
   let rng_chase = Rng.split rng in
   let rng_sat = Rng.split rng in
@@ -77,7 +76,7 @@ let check_race ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
   let arm i backend rng tok =
     let child = Guard.child ~cancel:tok budget in
     let r =
-      pipeline ~backend ?engine ~budget:child ?config ?k ?k_cfd ~jobs:inner_jobs
+      pipeline ~backend ~budget:child ?config ?k ?k_cfd ~jobs:inner_jobs
         ~rng schema sigma
     in
     recorded.(i) <- Some r;
@@ -128,11 +127,10 @@ let check_race ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
   | _ -> assert false
 
 (* The degradation ladder, driven by [Supervise.Policy].  Rungs, fastest
-   first; every rung is verdict-identical to the ones below it (the race
-   merge is deterministic, and delta-vs-naive chase runs follow one
-   canonical schedule):
+   first; every rung is verdict-identical to the one below it (the race
+   merge is deterministic):
 
-     parallel race (jobs >= 2)  ->  sequential pipeline  ->  naive chase
+     parallel race (jobs >= 2)  ->  sequential pipeline
 
    Within a rung, transient failures (injected faults, a local allocation
    ceiling — never deterministic heuristic give-ups, which re-run
@@ -143,7 +141,7 @@ let check_race ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
    records the step on the degradation trail; the last rung's answer is
    final.  The SAT -> chase rung lives below, in
    [Cfd_checking.consistent_rel]. *)
-let check ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?policy ?recorder
+let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
     ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_calls;
   (* Checking consults all of Σ (preProcessing walks the full dependency
@@ -170,12 +168,12 @@ let check ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?policy ?recorder
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
   Telemetry.with_span "checking.check" @@ fun () ->
-  let run_once ~jobs ~engine rng =
+  let run_once ~jobs rng =
     match backend with
     | None when jobs >= 2 ->
-        check_race ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma
+        check_race ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma
     | _ ->
-        pipeline ?backend ?engine ~budget ?config ?k ?k_cfd ~jobs ~rng schema
+        pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
           sigma
   in
   let result =
@@ -183,7 +181,7 @@ let check ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?policy ?recorder
     then
       (* Supervision off: exactly the historical path (and rng use), so
          unsupervised callers and the 0-fault hot path pay nothing. *)
-      run_once ~jobs ~engine rng
+      run_once ~jobs rng
     else begin
       (* Snapshot before anything else touches the stream: every attempt
          on every rung replays the same generator state. *)
@@ -194,20 +192,15 @@ let check ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?policy ?recorder
         | Guard.Deadline | Guard.Fuel | Guard.Cancelled -> false
       in
       let rungs =
-        (if backend = None && jobs >= 2 then [ (jobs, engine, "parallel") ]
-         else [])
-        @ [ (1, engine, "sequential") ]
-        @
-        match Chase.resolve_engine engine with
-        | `Naive -> []
-        | `Delta -> [ (1, Some `Naive, "naive-chase") ]
+        (if backend = None && jobs >= 2 then [ (jobs, "parallel") ] else [])
+        @ [ (1, "sequential") ]
       in
       let rec walk = function
         | [] -> assert false
-        | (rung_jobs, rung_engine, name) :: rest -> (
+        | (rung_jobs, name) :: rest -> (
             let degrade_to reason =
               match rest with
-              | (_, _, next) :: _ when policy.Supervise.Policy.degrade ->
+              | (_, next) :: _ when policy.Supervise.Policy.degrade ->
                   Supervise.record_degradation ~stage:"checking" ~from_:name
                     ~to_:next ~reason;
                   Some (walk rest)
@@ -215,10 +208,7 @@ let check ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?policy ?recorder
             in
             match
               Supervise.with_retry ~policy ~rng ~budget (fun ~attempt:_ ->
-                  match
-                    run_once ~jobs:rung_jobs ~engine:rung_engine
-                      (Rng.copy rng0)
-                  with
+                  match run_once ~jobs:rung_jobs (Rng.copy rng0) with
                   | (Consistent _ | Inconsistent) as v -> Supervise.Done v
                   | Unknown r when transient r -> Supervise.Transient r
                   | Unknown _ as v -> Supervise.Done v)
@@ -269,7 +259,7 @@ let intern_schema schema =
    warm-up above, and one pool whose domain spawns are amortised over
    every item (items are the coarse work units the work-stealing deques
    balance; each item runs its own pipeline sequentially). *)
-let check_many ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?chunk ?policy
+let check_many ?backend ?budget ?config ?k ?k_cfd ?jobs ?chunk ?policy
     ~rng schema (sigmas : Sigma.nf list) =
   let budget = Guard.resolve budget in
   let policy = Supervise.Policy.resolve policy in
@@ -284,7 +274,7 @@ let check_many ?backend ?budget ?engine ?config ?k ?k_cfd ?jobs ?chunk ?policy
      rung that partially consumed a stream can be replayed sequentially
      with bit-identical results. *)
   let run_one (rng_i, sigma_i) =
-    check ?backend ~budget ?engine ?config ?k ?k_cfd ~jobs:1 ~policy
+    check ?backend ~budget ?config ?k ?k_cfd ~jobs:1 ~policy
       ~rng:(Rng.copy rng_i) schema sigma_i
   in
   let plan = Parallel.estimate ?chunk ~tasks:n ~jobs () in

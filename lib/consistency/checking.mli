@@ -18,7 +18,6 @@ type result =
 val check :
   ?backend:Cfd_checking.backend ->
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->
@@ -50,9 +49,8 @@ val check :
     Transient failures (injected faults, a local allocation ceiling) are
     retried with the same rng snapshot, so a fault-free re-run yields the
     bit-identical fault-free verdict; when retries run out the ladder
-    degrades [parallel -> sequential -> naive-chase] (each rung
-    verdict-identical, each step recorded on the
-    {!Supervise.degradation_trail}).  Deterministic give-ups — [Unknown
+    degrades [parallel -> sequential] (the rungs are verdict-identical,
+    and the step is recorded on the {!Supervise.degradation_trail}).  Deterministic give-ups — [Unknown
     Fuel] from the paper's K / K_CFD caps, shared deadline or fuel
     exhaustion — are never retried: re-running them is wasted work that
     cannot change the answer.  With supervision off, the historical
@@ -61,7 +59,6 @@ val check :
 val check_many :
   ?backend:Cfd_checking.backend ->
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->

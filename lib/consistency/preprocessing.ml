@@ -80,7 +80,7 @@ let singleton_db schema ~rel ~avoid (tau : Template.tuple) =
   let db = Template.add (Template.empty schema) rel tau in
   Template.to_database ~avoid db
 
-let run ?backend ?budget ?engine ?k_cfd ~rng schema (sigma : Sigma.nf) =
+let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   Telemetry.incr m_runs;
   let budget = Guard.resolve budget in
   Telemetry.with_span "checking.preprocess" @@ fun () ->
@@ -120,7 +120,7 @@ let run ?backend ?budget ?engine ?k_cfd ~rng schema (sigma : Sigma.nf) =
     Guard.check budget;
     if Depgraph.is_live g r then begin
       match
-        Cfd_checking.consistent_rel ?backend ~budget ?engine ~avoid ?k_cfd ~rng
+        Cfd_checking.consistent_rel ?backend ~budget ~avoid ?k_cfd ~rng
           schema (Depgraph.cfd_set g r) ~rel:r
       with
       | Cfd_checking.Tuple tau ->

@@ -16,7 +16,6 @@ type result =
 val run :
   ?backend:Cfd_checking.backend ->
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?k_cfd:int ->
   rng:Rng.t ->
   Db_schema.t ->

@@ -22,13 +22,9 @@ let () = Guard.register_probe "checking.random"
 let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (K budget consumed)"
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
-let chase_run ~budget ~config ~k_cfd ~avoid ~engine ~rng schema
+let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
     (compiled : Chase.compiled) db =
   let pool = Pool.make ~n:config.Chase.pool_size in
-  (* Per-run witness index: each racing run owns its own cache (the index
-     is not domain-safe); CFD substitutions between IND steps are caught
-     by the cursor's and the index's physical-identity staleness checks. *)
-  let index = Chase.witness_index () in
   (* IND steps fill unknown fields with pool *variables* (instantiated:
      false): the interleaved CFD_Checking then chooses finite-domain values
      consistently, retrying up to K_CFD valuations — the improvement at the
@@ -36,14 +32,15 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~engine ~rng schema
      make almost every run die on the first CFD clash.
 
      The round-robin cursor resumes after the last applied CIND instead of
-     restarting from the head of the (shuffled) list; with the delta
-     engine it also re-examines only tuples enqueued since the CIND was
-     last checked, reseeding its worklists whenever CFD_Checking rewrote
-     the template in between.  Both engines follow the same canonical
-     schedule, so runs are bit-identical across engines. *)
+     restarting from the head of the (shuffled) list, and re-examines only
+     tuples enqueued since the CIND was last checked, reseeding its
+     worklists whenever CFD_Checking rewrote the template in between.
+     Each run owns its cursor and so its own witness index (the index is
+     not domain-safe); CFD substitutions between IND steps are caught by
+     the cursor's and the index's physical-identity staleness checks. *)
   let cinds = Rng.shuffle rng compiled.Chase.cinds in
   let cursor =
-    Chase.Ind_cursor.create ~index ~engine ~instantiated:false
+    Chase.Ind_cursor.create ~instantiated:false
       ~threshold:config.Chase.threshold pool schema cinds
   in
   let rec loop db steps =
@@ -54,7 +51,7 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~engine ~rng schema
     else begin
       Guard.tick budget;
       match
-        Cfd_checking.check_template ~budget ~engine ~k_cfd ~avoid ~rng
+        Cfd_checking.check_template ~budget ~k_cfd ~avoid ~rng
           compiled.Chase.cfds db
       with
       | None -> None
@@ -67,12 +64,9 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~engine ~rng schema
   in
   loop db 0
 
-let check ?budget ?engine ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
+let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
     ?seed_rels ?jobs ~rng schema (sigma : Sigma.nf) =
   let budget = Guard.resolve budget in
-  (* Resolve once so all K runs use one engine even if the process default
-     changes mid-flight. *)
-  let engine = Chase.resolve_engine engine in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
   in
@@ -102,7 +96,7 @@ let check ?budget ?engine ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 1
           let rel = Rng.pick run_rng seed_rels in
           let db = Chase.seed_tuple schema ~rel in
           Telemetry.with_span "checking.random_run" @@ fun () ->
-          chase_run ~budget:child ~config ~k_cfd ~avoid ~engine ~rng:run_rng
+          chase_run ~budget:child ~config ~k_cfd ~avoid ~rng:run_rng
             schema compiled db
         with
         | Some terminal ->

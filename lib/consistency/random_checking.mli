@@ -17,7 +17,6 @@ type result =
 
 val check :
   ?budget:Guard.t ->
-  ?engine:Chase.engine ->
   ?config:Chase.config ->
   ?k:int ->
   ?k_cfd:int ->

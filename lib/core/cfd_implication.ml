@@ -140,8 +140,6 @@ let implies_exn ?budget ?(max_nodes = 4_000_000) schema ~sigma (phi : Cfd.nf) =
   in
   not (search 0)
 
-let implies = implies_exn
-
 (* Three-valued form, sharing {!Implication.outcome}: the backtracking
    search is exact, so the only [Undetermined] sources are the local
    [max_nodes] cap ([Guard.Fuel]) and the shared budget. *)

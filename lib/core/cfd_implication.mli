@@ -18,15 +18,4 @@ val decide :
 (** [decide schema ~sigma phi] decides [sigma |= phi], three-valued.
     Never raises on resource exhaustion: past [max_nodes] search nodes
     (default 4e6) the answer is [Undetermined Guard.Fuel], and a dry
-    shared [budget] (default: ambient) yields [Undetermined r].  This is
-    the non-deprecated form of {!implies}. *)
-
-val implies :
-  ?budget:Guard.t -> ?max_nodes:int -> Db_schema.t -> sigma:Cfd.nf list -> Cfd.nf -> bool
-  [@@deprecated "boolean form cannot express 'unknown'; use Cfd_implication.decide (or the Cind_api facade)"]
-(** [implies schema ~sigma phi] decides [sigma |= phi].
-    @deprecated The boolean result conflates "not implied" with the
-    exceptional give-ups below; use {!decide} (three-valued).
-    @raise Budget_exceeded past [max_nodes] search nodes (default 4e6).
-    @raise Guard.Exhausted when the shared [budget] (default: ambient)
-    runs dry mid-search. *)
+    shared [budget] (default: ambient) yields [Undetermined r]. *)

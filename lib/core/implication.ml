@@ -122,26 +122,25 @@ let satisfies_requirement rhs req s' =
   String.equal s'.srel rhs
   && List.for_all (fun (pos, f) -> field_equal s'.fields.(pos) f) req
 
-(* All shapes the builder may create to discharge σ on s: the required
-   fields are fixed, free infinite fields are fresh, free finite fields
-   range over their domains. *)
-let children c s =
-  let base = Array.make c.c_rhs_arity Anon in
-  List.iter (fun (pos, f) -> base.(pos) <- f) (requirement c s);
-  let rec expand acc = function
-    | [] -> acc
+(* Pass [f] every shape the builder may create to discharge σ on s: the
+   required fields are fixed, free infinite fields are fresh, free finite
+   fields range over their domains.  Shapes are built one at a time, the
+   first free field outermost and the last fastest, so a [max_states] cap
+   raised from [f] stops the enumeration before the |dom|^k product
+   materialises. *)
+let iter_children c s f =
+  let fields = Array.make c.c_rhs_arity Anon in
+  List.iter (fun (pos, fld) -> fields.(pos) <- fld) (requirement c s);
+  let rec expand = function
+    | [] -> f { srel = c.c_rhs; fields = Array.copy fields }
     | (pos, vs) :: rest ->
-        let acc =
-          List.concat_map
-            (fun fields -> List.map (fun v ->
-                 let f = Array.copy fields in
-                 f.(pos) <- Cst v;
-                 f) vs)
-            acc
-        in
-        expand acc rest
+        List.iter
+          (fun v ->
+            fields.(pos) <- Cst v;
+            expand rest)
+          vs
   in
-  List.map (fun fields -> { srel = c.c_rhs; fields }) (expand [ base ] c.c_free_finite)
+  expand c.c_free_finite
 
 (* Enumerate t1's start shapes: marks (or finite-domain choices) on ψ's X,
    ψ's Xp constants, and fresh (or chosen) values elsewhere.  Each start
@@ -232,7 +231,7 @@ let counterexample_from schema compiled psi ~budget ~max_states ~recorder
       (fun c ->
         if applicable c s then begin
           Read_set.record_cind recorder c.c_nf;
-          List.iter push (children c s)
+          iter_children c s push
         end)
       compiled
   done;
@@ -262,22 +261,6 @@ let counterexample_from schema compiled psi ~budget ~max_states ~recorder
     end
   done;
   State_tbl.mem alive start
-
-let implies_exn ?budget ?(max_states = 50_000) schema ~sigma psi =
-  Telemetry.with_span "implication.implies" @@ fun () ->
-  let budget = Guard.resolve budget in
-  Guard.probe ~budget "implication.implies";
-  let sigma = List.map Cind.canon_nf sigma in
-  let psi = Cind.canon_nf psi in
-  let compiled = List.map (compile schema) sigma in
-  let starts = start_shapes schema psi ~budget:max_states in
-  not
-    (List.exists
-       (counterexample_from schema compiled psi ~budget ~max_states
-          ~recorder:None)
-       starts)
-
-let implies = implies_exn
 
 (* --- three-valued interface ------------------------------------------------ *)
 
@@ -374,11 +357,7 @@ let check_infinite schema ~sigma psi =
   in
   if not (List.for_all check (psi :: sigma)) then
     invalid_arg
-      "Implication.implies_infinite: constraints involve finite-domain attributes"
-
-let implies_infinite ?budget ?max_states schema ~sigma psi =
-  check_infinite schema ~sigma psi;
-  implies_exn ?budget ?max_states schema ~sigma psi
+      "Implication.decide_infinite: constraints involve finite-domain attributes"
 
 let decide_infinite ?budget ?max_states schema ~sigma psi =
   check_infinite schema ~sigma psi;

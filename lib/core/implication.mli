@@ -38,8 +38,8 @@ val decide :
     50,000) the answer is [Undetermined Guard.Fuel], and a dry shared
     [budget] (default: ambient) yields [Undetermined r].  A [recorder]
     collects the CINDs found applicable and the relations whose shapes
-    were explored (see {!Read_set}).  This is the non-deprecated form of
-    {!implies}; drivers should prefer the [Cind_api] facade. *)
+    were explored (see {!Read_set}).  Drivers should prefer the [Cind_api]
+    facade. *)
 
 type compiled
 (** A member of Σ pre-compiled against a schema: the per-call work of
@@ -91,23 +91,3 @@ val implies_many :
     the per-goal searches out over a work-stealing pool, [chunk] goals
     per task.  The procedure is rng-free, so outcome i is identical to
     [decide schema ~sigma (List.nth goals i)] at any jobs count. *)
-
-val implies :
-  ?budget:Guard.t -> ?max_states:int -> Db_schema.t -> sigma:Cind.nf list -> Cind.nf -> bool
-  [@@deprecated "boolean form cannot express 'unknown'; use Implication.decide (or the Cind_api.implies facade)"]
-(** [implies schema ~sigma psi] decides [sigma |= psi].
-    @deprecated The boolean result conflates "not implied" with the
-    exceptional give-ups below; use {!decide} (three-valued), or the
-    [Cind_api.implies] facade from drivers.
-    @raise Budget_exceeded past [max_states] explored shapes (default 50,000).
-    @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
-    dry. *)
-
-val implies_infinite :
-  ?budget:Guard.t -> ?max_states:int -> Db_schema.t -> sigma:Cind.nf list -> Cind.nf -> bool
-  [@@deprecated "boolean form cannot express 'unknown'; use Implication.decide_infinite"]
-(** Same decision, restricted to the finite-domain-free setting of
-    Theorem 3.5 (where rules CIND1–CIND6 are complete).
-    @deprecated Use {!decide_infinite} (three-valued).
-    @raise Invalid_argument if any involved relation has a finite-domain
-    attribute. *)

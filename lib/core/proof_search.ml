@@ -53,7 +53,7 @@ let ensure_infinite schema (nfs : Cind.nf list) =
       if not (all_infinite nf.Cind.nf_lhs && all_infinite nf.nf_rhs) then
         invalid_arg
           "Proof_search.derive: finite-domain attributes present (CIND7/CIND8 \
-           territory, use Implication.implies)")
+           territory, use Implication.decide)")
     nfs
 
 let start_shape schema (psi : Cind.nf) =

@@ -21,5 +21,5 @@ val derive :
     and [None] otherwise.
 
     @raise Invalid_argument when any involved relation has a finite-domain
-    attribute (CIND7/CIND8 territory — use {!Implication.implies}).
+    attribute (CIND7/CIND8 territory — use {!Implication.decide}).
     @raise Implication.Budget_exceeded past [max_states] explored shapes. *)

@@ -58,7 +58,6 @@ type t = {
   s_schema : Db_schema.t;
   s_seed : int;
   s_backend : Cind_api.backend;
-  s_engine : Cind_api.engine option;
   s_jobs : int option;
   s_k : int option;
   s_k_cfd : int option;
@@ -88,13 +87,12 @@ type t = {
   mutable s_inval : int;
 }
 
-let create ?(backend = Cind_api.Chase_backend) ?engine ?jobs ?k ?k_cfd
+let create ?(backend = Cind_api.Chase_backend) ?jobs ?k ?k_cfd
     ?max_states ?(cache = true) ~seed schema =
   {
     s_schema = schema;
     s_seed = seed;
     s_backend = backend;
-    s_engine = engine;
     s_jobs = jobs;
     s_k = k;
     s_k_cfd = k_cfd;
@@ -396,7 +394,7 @@ let check t =
       let recorder = if t.s_cache_on then Some (Read_set.create ()) else None in
       let rng = rng_for t kcheck fps fps in
       let v =
-        Cind_api.check ~backend:t.s_backend ?engine:t.s_engine ?jobs:t.s_jobs
+        Cind_api.check ~backend:t.s_backend ?jobs:t.s_jobs
           ?k:t.s_k ?k_cfd:t.s_k_cfd ?recorder ~rng t.s_schema t.s_sigma
       in
       store t kcheck fps
@@ -428,7 +426,7 @@ let consistent t ~rel =
         match t.s_backend with
         | Cind_api.Sat_backend ->
             Cind_api.consistent ~backend:Cind_api.Sat_backend
-              ?engine:t.s_engine ?k_cfd:t.s_k_cfd ~rng t.s_schema
+              ?k_cfd:t.s_k_cfd ~rng t.s_schema
               t.s_sigma.Sigma.ncfds ~rel
         | Cind_api.Chase_backend -> (
             (* The facade path modulo the warm-started compile: same
@@ -436,7 +434,7 @@ let consistent t ~rel =
                — verdict-bit-identical to [Cind_api.consistent]. *)
             let compiled = warm_cfds t rel cfds ctx in
             match
-              Cfd_checking.check_template_outcome ?engine:t.s_engine
+              Cfd_checking.check_template_outcome
                 ?k_cfd:t.s_k_cfd ~rng compiled
                 (Chase.seed_tuple t.s_schema ~rel)
             with

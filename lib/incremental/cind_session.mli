@@ -51,7 +51,6 @@ type t
 
 val create :
   ?backend:Cind_api.backend ->
-  ?engine:Cind_api.engine ->
   ?jobs:int ->
   ?k:int ->
   ?k_cfd:int ->

@@ -3,20 +3,13 @@
    backjumping, EVSIDS activity branching and LBD-scored learned-clause
    deletion — standing in for SAT4j in the paper's SAT-based CFD_Checking:
    any complete solver preserves the algorithm's accuracy; only absolute
-   running times differ.
-
-   The pre-learning chronological DPLL search (watched literals, static
-   occurrence scores, Luby restarts, phase saving) is retained verbatim as
-   the [Chrono] ablation mode, reachable through [--no-sat-cdcl], so the
-   learning machinery can be differentially debugged and its speedup
-   measured (bench section `sat`, BENCH_sat.json). *)
+   running times differ.  [solve_brute] is the exhaustive oracle the tests
+   check it against. *)
 
 type result =
   | Sat of bool array (* indexed by variable, index 0 unused *)
   | Unsat
   | Unknown of Guard.reason (* search stopped by a budget, limit or fault *)
-
-type mode = Cdcl | Chrono
 
 let () = Guard.register_probe "sat.solve"
 let () = Guard.register_probe "sat.analyze"
@@ -40,7 +33,6 @@ let m_unknown = Telemetry.counter "sat.results_unknown" ~doc:"instances left und
 let h_lbd = Telemetry.histogram "sat.lbd"
 
 exception Found_unsat
-exception Restart
 
 (* luby i: the i-th term (1-based) of the Luby restart sequence
    1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... — the universally near-optimal
@@ -57,19 +49,6 @@ let lit_index l = if l > 0 then 2 * l else (2 * -l) + 1
 let simplify_clause clause =
   let sorted = List.sort_uniq Int.compare clause in
   if List.exists (fun l -> List.mem (-l) sorted) sorted then None else Some sorted
-
-(* --- mode selection ---------------------------------------------------------- *)
-
-let default_mode_flag = Atomic.make true (* true = Cdcl *)
-let set_default_mode m = Atomic.set default_mode_flag (m = Cdcl)
-let default_mode () = if Atomic.get default_mode_flag then Cdcl else Chrono
-let resolve_mode = function Some m -> m | None -> default_mode ()
-let mode_to_string = function Cdcl -> "cdcl" | Chrono -> "chrono"
-
-let mode_of_string = function
-  | "cdcl" -> Some Cdcl
-  | "chrono" -> Some Chrono
-  | _ -> None
 
 (* === the CDCL core =========================================================== *)
 
@@ -533,8 +512,8 @@ let solve_cdcl ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
         if l > 0 then st.pos_occ.(v) <- st.pos_occ.(v) + 1)
       st.clauses.(ci).lits
   done;
-  (* occurrence counts seed the activities, so the first decisions mirror
-     the static-score branching the chronological solver starts from *)
+  (* occurrence counts seed the activities, so the first decisions branch
+     on the most-constrained variables *)
   for v = 1 to num_vars do
     st.activity.(v) <- float_of_int st.occ.(v) *. 1e-9;
     heap_insert st v
@@ -624,244 +603,29 @@ let solve_cdcl ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
     Option.get !result
   with Found_unsat -> Unsat
 
-(* === the chronological ablation ==============================================
-
-   The pre-CDCL solver, kept bit-for-bit: two-watched-literal propagation,
-   static occurrence-count branching, chronological backtracking over an
-   explicit decision stack, and Luby restarts with phase saving that clear
-   the stack.  Every conflict throws away everything the failed subtree
-   established — the ablation the `sat` bench section measures CDCL
-   against. *)
-
-type chrono = {
-  c_num_vars : int;
-  c_clauses : int array array;
-  c_assign : int array;
-  c_watch : int list array;
-  c_trail : int array;
-  mutable c_trail_len : int;
-  mutable c_qhead : int;
-  c_score : int array; (* static occurrence counts per variable *)
-  c_pos_occ : int array;
-  c_saved : int array;
-}
-
-let chrono_lit_value st l =
-  let v = st.c_assign.(abs l) in
-  if v = 0 then 0 else if (l > 0) = (v = 1) then 1 else -1
-
-let chrono_push st l =
-  st.c_assign.(abs l) <- (if l > 0 then 1 else -1);
-  st.c_trail.(st.c_trail_len) <- l;
-  st.c_trail_len <- st.c_trail_len + 1
-
-let chrono_backtrack st len =
-  while st.c_trail_len > len do
-    st.c_trail_len <- st.c_trail_len - 1;
-    let v = abs st.c_trail.(st.c_trail_len) in
-    st.c_saved.(v) <- st.c_assign.(v);
-    st.c_assign.(v) <- 0
-  done;
-  st.c_qhead <- min st.c_qhead len
-
-let chrono_propagate st =
-  let ok = ref true in
-  while !ok && st.c_qhead < st.c_trail_len do
-    let l = st.c_trail.(st.c_qhead) in
-    st.c_qhead <- st.c_qhead + 1;
-    let falsified = -l in
-    let wl = lit_index falsified in
-    let pending = st.c_watch.(wl) in
-    st.c_watch.(wl) <- [];
-    let rec process = function
-      | [] -> ()
-      | ci :: rest ->
-          let c = st.c_clauses.(ci) in
-          if c.(0) = falsified then begin
-            c.(0) <- c.(1);
-            c.(1) <- falsified
-          end;
-          if chrono_lit_value st c.(0) = 1 then begin
-            st.c_watch.(wl) <- ci :: st.c_watch.(wl);
-            process rest
-          end
-          else begin
-            let len = Array.length c in
-            let rec find_watch k =
-              if k >= len then -1
-              else if chrono_lit_value st c.(k) <> -1 then k
-              else find_watch (k + 1)
-            in
-            let k = find_watch 2 in
-            if k >= 0 then begin
-              c.(1) <- c.(k);
-              c.(k) <- falsified;
-              let wl' = lit_index c.(1) in
-              st.c_watch.(wl') <- ci :: st.c_watch.(wl');
-              process rest
-            end
-            else begin
-              st.c_watch.(wl) <- ci :: st.c_watch.(wl);
-              match chrono_lit_value st c.(0) with
-              | -1 ->
-                  Telemetry.incr m_conflicts;
-                  ok := false;
-                  st.c_watch.(wl) <- List.rev_append rest st.c_watch.(wl)
-              | 0 ->
-                  Telemetry.incr m_propagations;
-                  chrono_push st c.(0);
-                  process rest
-              | _ -> process rest
-            end
-          end
-    in
-    process pending
-  done;
-  !ok
-
-let chrono_pick st =
-  let best = ref 0 and best_score = ref (-1) in
-  for v = 1 to st.c_num_vars do
-    if st.c_assign.(v) = 0 && st.c_score.(v) > !best_score then begin
-      best := v;
-      best_score := st.c_score.(v)
-    end
-  done;
-  if !best = 0 then None
-  else
-    let v = !best in
-    Some
-      (match st.c_saved.(v) with
-      | 1 -> v
-      | -1 -> -v
-      | _ -> if 2 * st.c_pos_occ.(v) >= st.c_score.(v) then v else -v)
-
-let solve_chrono ~budget ~max_conflicts ~max_decisions ~restart_base ~num_vars
-    units long =
-  let clauses = Array.of_list (List.map Array.of_list long) in
-  let st =
-    {
-      c_num_vars = num_vars;
-      c_clauses = clauses;
-      c_assign = Array.make (num_vars + 1) 0;
-      c_watch = Array.make ((2 * num_vars) + 2) [];
-      c_trail = Array.make (num_vars + 1) 0;
-      c_trail_len = 0;
-      c_qhead = 0;
-      c_score = Array.make (num_vars + 1) 0;
-      c_pos_occ = Array.make (num_vars + 1) 0;
-      c_saved = Array.make (num_vars + 1) 0;
-    }
-  in
-  Array.iteri
-    (fun ci c ->
-      st.c_watch.(lit_index c.(0)) <- ci :: st.c_watch.(lit_index c.(0));
-      st.c_watch.(lit_index c.(1)) <- ci :: st.c_watch.(lit_index c.(1));
-      Array.iter
-        (fun l ->
-          st.c_score.(abs l) <- st.c_score.(abs l) + 1;
-          if l > 0 then st.c_pos_occ.(abs l) <- st.c_pos_occ.(abs l) + 1)
-        c)
-    clauses;
-  try
-    List.iter
-      (fun l ->
-        match chrono_lit_value st l with
-        | -1 -> raise Found_unsat
-        | 0 -> chrono_push st l
-        | _ -> ())
-      units;
-    let root_len = st.c_trail_len in
-    (* Decision stack: (trail length before the decision, literal, flipped). *)
-    let dstack : (int * int * bool) Stack.t = Stack.create () in
-    let conflicts = ref 0 and decisions = ref 0 in
-    let restart_count = ref 0 and window_conflicts = ref 0 in
-    let window () =
-      if restart_base <= 0 then max_int
-      else restart_base * luby (!restart_count + 1)
-    in
-    let restart_limit = ref (window ()) in
-    let rec search () =
-      if chrono_propagate st then
-        match chrono_pick st with
-        | None ->
-            let model = Array.make (num_vars + 1) false in
-            for v = 1 to num_vars do
-              model.(v) <- st.c_assign.(v) = 1
-            done;
-            Sat model
-        | Some l ->
-            Telemetry.incr m_decisions;
-            incr decisions;
-            if !decisions > max_decisions then raise (Guard.Exhausted Guard.Fuel);
-            Guard.tick budget;
-            Stack.push (st.c_trail_len, l, false) dstack;
-            chrono_push st l;
-            search ()
-      else begin
-        incr conflicts;
-        incr window_conflicts;
-        if !conflicts > max_conflicts then raise (Guard.Exhausted Guard.Fuel);
-        Guard.tick budget;
-        if !window_conflicts >= !restart_limit && not (Stack.is_empty dstack)
-        then raise Restart
-        else resolve_conflict ()
-      end
-    and resolve_conflict () =
-      if Stack.is_empty dstack then raise Found_unsat
-      else
-        let len, l, flipped = Stack.pop dstack in
-        chrono_backtrack st len;
-        if flipped then resolve_conflict ()
-        else begin
-          Stack.push (len, -l, true) dstack;
-          chrono_push st (-l);
-          search ()
-        end
-    in
-    let rec search_with_restarts () =
-      try search ()
-      with Restart ->
-        Telemetry.incr m_restarts;
-        incr restart_count;
-        window_conflicts := 0;
-        restart_limit := window ();
-        Stack.clear dstack;
-        chrono_backtrack st root_len;
-        search_with_restarts ()
-    in
-    search_with_restarts ()
-  with Found_unsat -> Unsat
-
 (* === shared front end ======================================================== *)
 
-let solve_raw ~mode ~budget ~max_conflicts ~max_decisions ~restart_base
-    ~reduce_base cnf =
+let solve_raw ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
+    cnf =
   let num_vars = Cnf.num_vars cnf in
   let simplified = List.filter_map simplify_clause (Cnf.clauses cnf) in
   if List.exists (fun c -> c = []) simplified then Unsat
   else
     let units = List.filter_map (function [ l ] -> Some l | _ -> None) simplified in
     let long = List.filter (fun c -> List.length c >= 2) simplified in
-    match mode with
-    | Cdcl ->
-        solve_cdcl ~budget ~max_conflicts ~max_decisions ~restart_base
-          ~reduce_base ~num_vars units long
-    | Chrono ->
-        solve_chrono ~budget ~max_conflicts ~max_decisions ~restart_base
-          ~num_vars units long
+    solve_cdcl ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
+      ~num_vars units long
 
 let solve ?budget ?(max_conflicts = max_int) ?(max_decisions = max_int)
-    ?(restart_base = 64) ?(reduce_base = 2000) ?mode cnf =
+    ?(restart_base = 64) ?(reduce_base = 2000) cnf =
   let budget = Guard.resolve budget in
-  let mode = resolve_mode mode in
   Telemetry.incr m_solves;
   Telemetry.with_span "sat.solve" @@ fun () ->
   let result =
     try
       Guard.probe ~budget "sat.solve";
-      solve_raw ~mode ~budget ~max_conflicts ~max_decisions ~restart_base
-        ~reduce_base cnf
+      solve_raw ~budget ~max_conflicts ~max_decisions ~restart_base ~reduce_base
+        cnf
     with Guard.Exhausted r -> Unknown r
   in
   (match result with

@@ -3,7 +3,7 @@
     Substitute for SAT4j [19] in the SAT-based consistency checking of
     Section 5.2: the reduction only needs a complete propositional oracle.
 
-    The default engine is a modern CDCL core:
+    It is a modern CDCL core:
 
     - two-watched-literal unit propagation recording, for every assigned
       variable, its decision level and the clause that propagated it (the
@@ -45,14 +45,7 @@
     reduction), [sat.backjump_levels] (decision levels skipped beyond the
     one chronological level), a [sat.lbd] histogram (unitless LBD values in
     the shared log-scale buckets) and a [sat.analyze] span with a matching
-    fault probe in the {!Guard} registry.
-
-    The pre-learning chronological search (static occurrence branching,
-    chronological backtracking, restarts that clear the decision stack) is
-    retained as the {!Chrono} ablation mode — reachable process-wide via
-    [--no-sat-cdcl] on [cindtool] and bench — for differential debugging
-    and for measuring the learning speedup (bench section [sat],
-    [BENCH_sat.json]). *)
+    fault probe in the {!Guard} registry. *)
 
 type result =
   | Sat of bool array  (** model indexed by variable; index 0 is unused *)
@@ -61,28 +54,12 @@ type result =
       (** search stopped by the budget, a conflict/decision limit
           ([Guard.Fuel]) or an armed fault probe *)
 
-type mode =
-  | Cdcl  (** conflict-driven clause learning (the default) *)
-  | Chrono  (** pre-learning chronological search — the ablation engine *)
-
-val set_default_mode : mode -> unit
-(** Set the process-wide default engine (the [--sat-cdcl]/[--no-sat-cdcl]
-    flags).  Affects subsequent {!solve} calls that pass no [?mode]. *)
-
-val default_mode : unit -> mode
-
-val mode_of_string : string -> mode option
-(** ["cdcl"] / ["chrono"]. *)
-
-val mode_to_string : mode -> string
-
 val solve :
   ?budget:Guard.t ->
   ?max_conflicts:int ->
   ?max_decisions:int ->
   ?restart_base:int ->
   ?reduce_base:int ->
-  ?mode:mode ->
   Cnf.t ->
   result
 (** [budget] defaults to the ambient budget; with no limits at all the
@@ -91,9 +68,8 @@ val solve :
     disables restarts entirely.  [reduce_base] (default 2000) is the live
     learned-clause count that triggers the first database reduction;
     [reduce_base <= 0] disables deletion (every learned clause is kept).
-    [mode] overrides the process default engine for this call.  Verdicts
-    ([Sat] vs [Unsat]) are identical across modes, [restart_base] values
-    and [reduce_base] cadences; models may differ. *)
+    Verdicts ([Sat] vs [Unsat]) are identical across [restart_base]
+    values and [reduce_base] cadences; models may differ. *)
 
 val is_sat : ?budget:Guard.t -> Cnf.t -> bool
 (** The boolean view.  @raise Guard.Exhausted when the budget runs dry

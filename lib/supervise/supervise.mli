@@ -7,7 +7,7 @@
     per attempt), so a successful re-run after a transient fault yields
     the bit-identical verdict the fault-free run would have produced; a
     degradation switches to a slower {e verdict-identical} path
-    (parallel to sequential, delta chase to naive, SAT to chase).
+    (parallel to sequential, SAT to chase).
     Definitive verdicts are never retried — only outcomes the caller
     classifies as {!Transient} are.
 

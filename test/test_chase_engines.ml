@@ -4,11 +4,13 @@ open Conddep_consistency
 open Conddep_generator
 open Helpers
 
-(* The delta-driven chase's differential guarantee (DESIGN.md §10): both
-   fixpoint engines execute the same canonical operation schedule, so for
-   equal inputs and random seeds they produce bit-identical outcomes,
-   witnesses and final templates — at any jobs count.  Plus the fault
-   probes on the delta engine's entry points. *)
+(* The delta-driven chase's differential guarantee (DESIGN.md §10): it
+   executes the same canonical operation schedule as the naive oracle
+   [Naive_chase] (full rescans built from [Chase.fd_step] and
+   [Chase.ind_step]), so for equal inputs and random seeds both produce
+   bit-identical outcomes and final templates.  RandomChecking's witnesses
+   are identical at any jobs count.  Plus the fault probes on the delta
+   engine's entry points. *)
 
 let small_workload seed =
   let rng = Rng.make seed in
@@ -30,14 +32,11 @@ let outcome_repr = function
 let chase_both ~instantiated seed =
   let schema, sigma = small_workload seed in
   let compiled = Chase.compile schema sigma in
-  let rel = List.hd (Db_schema.rel_names schema) in
-  let run engine =
-    Chase.run ~engine ~instantiated ~config:Chase.default_config
-      ~rng:(Rng.make ((seed * 7) + 1))
-      schema compiled
-      (Chase.seed_tuple schema ~rel)
-  in
-  (run `Delta, run `Naive)
+  let db = Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema)) in
+  let rng () = Rng.make ((seed * 7) + 1) in
+  let config = Chase.default_config in
+  ( Chase.run ~instantiated ~config ~rng:(rng ()) schema compiled db,
+    Naive_chase.run ~instantiated ~config ~rng:(rng ()) schema compiled db )
 
 let prop_chase_equiv ~instantiated seed =
   let delta, naive = chase_both ~instantiated seed in
@@ -52,40 +51,18 @@ let seed_gen lo hi =
   QCheck.make ~print:string_of_int QCheck.Gen.(int_range lo hi)
 
 (* RandomChecking end to end: identical verdicts and identical witness
-   databases for both engines at jobs 1 and jobs 4. *)
+   databases at jobs 1 and jobs 4. *)
 let rc_repr = function
   | Random_checking.Consistent db -> Fmt.str "consistent:%a" Database.pp db
   | Random_checking.Unknown r -> "unknown:" ^ Guard.reason_to_string r
 
 let prop_random_checking_equiv seed =
   let schema, sigma = small_workload seed in
-  let run engine jobs =
+  let run jobs =
     rc_repr
-      (Random_checking.check ~engine ~jobs ~k:8 ~rng:(Rng.make seed) schema
-         sigma)
+      (Random_checking.check ~jobs ~k:8 ~rng:(Rng.make seed) schema sigma)
   in
-  let base = run `Delta 1 in
-  List.for_all
-    (fun (engine, jobs) -> String.equal base (run engine jobs))
-    [ (`Naive, 1); (`Delta, 4); (`Naive, 4) ]
-
-(* --- engine selection plumbing ----------------------------------------------- *)
-
-let test_engine_strings () =
-  check_string "delta" "delta" (Chase.engine_to_string `Delta);
-  check_string "naive" "naive" (Chase.engine_to_string `Naive);
-  check_bool "roundtrip delta" true (Chase.engine_of_string "delta" = Some `Delta);
-  check_bool "roundtrip naive" true (Chase.engine_of_string "naive" = Some `Naive);
-  check_bool "unknown rejected" true (Chase.engine_of_string "semi" = None)
-
-let test_default_engine () =
-  let saved = Chase.default_engine () in
-  Fun.protect ~finally:(fun () -> Chase.set_default_engine saved) @@ fun () ->
-  Chase.set_default_engine `Naive;
-  check_bool "default switches" true (Chase.default_engine () = `Naive);
-  check_bool "resolve None follows default" true
-    (Chase.resolve_engine None = `Naive);
-  check_bool "resolve Some wins" true (Chase.resolve_engine (Some `Delta) = `Delta)
+  String.equal (run 1) (run 4)
 
 (* --- fault probes on the delta engine's entry points -------------------------- *)
 
@@ -95,7 +72,7 @@ let test_delta_run_fault () =
   Guard.arm ~site:"chase.delta" Guard.Raise;
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
   match
-    Chase.run ~engine:`Delta ~config:Chase.default_config ~rng:(Rng.make 3)
+    Chase.run ~config:Chase.default_config ~rng:(Rng.make 3)
       schema compiled
       (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema)))
   with
@@ -106,28 +83,12 @@ let test_delta_drain_fault () =
   let schema, sigma = small_workload 13 in
   Guard.arm ~site:"chase.delta.drain" Guard.Raise;
   Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match Random_checking.check ~engine:`Delta ~rng:(Rng.make 2) schema sigma with
+  match Random_checking.check ~rng:(Rng.make 2) schema sigma with
   | Random_checking.Unknown (Guard.Fault s) ->
       check_string "site" "chase.delta.drain" s
   | Random_checking.Unknown r ->
       Alcotest.failf "expected Fault, got %s" (Guard.reason_to_string r)
   | Random_checking.Consistent _ -> Alcotest.fail "armed fault must fire"
-
-(* the naive engine never reaches the delta-only sites *)
-let test_naive_skips_delta_sites () =
-  let schema, sigma = small_workload 13 in
-  let compiled = Chase.compile schema sigma in
-  Guard.arm ~site:"chase.delta" Guard.Raise;
-  Guard.arm ~site:"chase.delta.drain" Guard.Raise;
-  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-  match
-    Chase.run ~engine:`Naive ~config:Chase.default_config ~rng:(Rng.make 3)
-      schema compiled
-      (Chase.seed_tuple schema ~rel:(List.hd (Db_schema.rel_names schema)))
-  with
-  | Chase.Exhausted (Guard.Fault s) ->
-      Alcotest.failf "naive engine hit delta-only site %s" s
-  | Chase.Terminal _ | Chase.Undefined _ | Chase.Exhausted _ -> ()
 
 let () =
   Alcotest.run "chase_engines"
@@ -140,14 +101,8 @@ let () =
           qtest ~count:40 "instantiated chase identical across engines"
             (seed_gen 501 1000)
             (prop_chase_equiv ~instantiated:true);
-          qtest ~count:8 "RandomChecking identical across engines and jobs"
+          qtest ~count:8 "RandomChecking identical across jobs counts"
             (seed_gen 0 200) prop_random_checking_equiv;
-        ] );
-      ( "selection",
-        [
-          Alcotest.test_case "engine string round-trip" `Quick test_engine_strings;
-          Alcotest.test_case "process default and resolution" `Quick
-            test_default_engine;
         ] );
       ( "faults",
         [
@@ -155,7 +110,5 @@ let () =
             test_delta_run_fault;
           Alcotest.test_case "chase.delta.drain probe surfaces" `Quick
             test_delta_drain_fault;
-          Alcotest.test_case "naive engine skips delta sites" `Quick
-            test_naive_skips_delta_sites;
         ] );
     ]

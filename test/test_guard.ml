@@ -196,24 +196,20 @@ let test_checking_deadline () =
   | Checking.Consistent _ | Checking.Inconsistent ->
       Alcotest.fail "the needle workload cannot be decided in 0.2s"
 
-(* The deprecated boolean entry points stay part of the public surface;
-   their documented exceptional contract is pinned by the tests below. *)
-let[@warning "-3"] implies_bool = Implication.implies
-let[@warning "-3"] cfd_implies_bool = Cfd_implication.implies
-
 let test_implication_deadline () =
-  (* bool API: exhaustion propagates as the exception *)
+  (* exhaustion surfaces as a typed Undetermined, never an exception *)
   let schema, sigma = needle_workload ~seed:3 ~relations:8 ~cinds:20 in
   match sigma.Sigma.ncinds with
   | [] -> Alcotest.fail "workload has CINDs"
   | psi :: rest -> (
       match
-        implies_bool
+        Implication.decide
           ~budget:(Guard.make ~fuel:50 ())
           schema ~sigma:rest psi
       with
-      | (_ : bool) -> () (* small instances may decide within the fuel *)
-      | exception Guard.Exhausted r -> check_cutoff "fuel surfaced" Guard.Fuel r)
+      | Implication.Implied | Implication.Not_implied ->
+          () (* small instances may decide within the fuel *)
+      | Implication.Undetermined r -> check_cutoff "fuel surfaced" Guard.Fuel r)
 
 (* --- determinism of budgeted degradation ------------------------------------- *)
 
@@ -296,6 +292,14 @@ let test_sat_fault () =
   | Solver.Unknown (Guard.Fault s) -> check_string "site" "sat.solve" s
   | _ -> Alcotest.fail "armed fault must surface as Unknown"
 
+(* the three-valued implication procedures answer Undetermined (Fault _) *)
+let expect_undetermined_fault site f =
+  Guard.arm ~site Guard.Raise;
+  Fun.protect ~finally:Guard.disarm_all @@ fun () ->
+  match f () with
+  | Implication.Undetermined (Guard.Fault s) -> check_string site site s
+  | o -> Alcotest.failf "site %s: expected a fault, got %a" site Implication.pp_outcome o
+
 (* bool/option APIs let the exception propagate — typed, not a crash *)
 let expect_fault site f =
   Guard.arm ~site Guard.Raise;
@@ -308,13 +312,13 @@ let test_bool_api_faults () =
   let schema, sigma = small_workload 13 in
   (match sigma.Sigma.ncinds with
   | psi :: rest ->
-      expect_fault "implication.implies" (fun () ->
-          implies_bool schema ~sigma:rest psi)
+      expect_undetermined_fault "implication.implies" (fun () ->
+          Implication.decide schema ~sigma:rest psi)
   | [] -> Alcotest.fail "workload has CINDs");
   match sigma.Sigma.ncfds with
   | phi :: rest ->
-      expect_fault "cfd_implication.implies" (fun () ->
-          cfd_implies_bool schema ~sigma:rest phi);
+      expect_undetermined_fault "cfd_implication.implies" (fun () ->
+          Cfd_implication.decide schema ~sigma:rest phi);
       expect_fault "cfd_consistency.witness" (fun () ->
           Cfd_consistency.consistent_rel schema ~rel:phi.Cfd.nf_rel
             sigma.Sigma.ncfds)

@@ -337,6 +337,44 @@ let test_implies_infinite_agrees () =
   check_bool "infinite variant agrees" true
     (implied_inf schema ~sigma (ind "r" "s"))
 
+(* Regression: a CIND with k free finite RHS fields has |dom|^k children per
+   shape.  They are enumerated lazily, so the [max_states] cap stops the
+   search after about [max_states] shapes instead of first building all
+   100^4 = 10^8 of them. *)
+let test_state_cap_cuts_wide_fanout () =
+  let dom = Domain.finite (List.init 100 (fun i -> Value.Int i)) in
+  let key = Attribute.make "a" Domain.string_inf in
+  let schema =
+    Db_schema.make
+      [
+        Schema.make "r" [ key ];
+        Schema.make "s"
+          (key :: List.init 4 (fun i -> Attribute.make (Printf.sprintf "f%d" i) dom));
+        Schema.make "t" [ key ];
+      ]
+  in
+  let ind lhs rhs =
+    {
+      Cind.nf_name = lhs ^ rhs;
+      nf_lhs = lhs;
+      nf_rhs = rhs;
+      nf_x = [ "a" ];
+      nf_y = [ "a" ];
+      nf_xp = [];
+      nf_yp = [];
+    }
+  in
+  let words0 = Gc.minor_words () in
+  let outcome =
+    Implication.decide ~max_states:1000 schema ~sigma:[ ind "r" "s" ] (ind "r" "t")
+  in
+  let words = Gc.minor_words () -. words0 in
+  check_bool "undetermined (fuel)" true
+    (outcome = Implication.Undetermined Guard.Fuel);
+  check_bool
+    (Printf.sprintf "allocation bounded by the cap (%.0f minor words)" words)
+    true (words < 1e7)
+
 (* --- proof search (constructive Thm 3.5) ----------------------------------- *)
 
 let three_rel_schema () =
@@ -632,6 +670,8 @@ let () =
           Alcotest.test_case "implies_infinite guard" `Quick test_implies_infinite_guard;
           Alcotest.test_case "implies_infinite agreement" `Quick
             test_implies_infinite_agrees;
+          Alcotest.test_case "state cap cuts wide finite fan-out" `Quick
+            test_state_cap_cuts_wide_fanout;
         ] );
       ( "proof search (Thm 3.5, constructive)",
         [

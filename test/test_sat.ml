@@ -1,9 +1,8 @@
 open Conddep_sat
 open Helpers
 
-(* The CDCL solver and its chronological ablation engine: hand-written
-   cases, DIMACS round-trips, differential property tests against the
-   brute-force reference (and between the two engines), learned-clause
+(* The CDCL solver: hand-written cases, DIMACS round-trips, differential
+   property tests against the brute-force reference, learned-clause
    machinery observability, and the sat.analyze fault probe. *)
 
 let solve_is_sat cnf =
@@ -122,29 +121,23 @@ let brute_is_sat cnf =
   | Solver.Unsat -> false
   | Solver.Unknown r -> Alcotest.failf "brute Unknown: %s" (Guard.reason_to_string r)
 
-let mode_is_sat ?restart_base ?reduce_base mode cnf =
-  match Solver.solve ?restart_base ?reduce_base ~mode cnf with
+let cdcl_is_sat ?restart_base ?reduce_base cnf =
+  match Solver.solve ?restart_base ?reduce_base cnf with
   | Solver.Sat model ->
       check_bool "model satisfies" true (Cnf.eval model cnf);
       true
   | Solver.Unsat -> false
   | Solver.Unknown r -> Alcotest.failf "unexpected Unknown: %s" (Guard.reason_to_string r)
 
-(* Differential: both engines vs the exhaustive oracle on seeded 3-CNF at
-   the hard density — a mix of SAT instances and UNSAT cores. *)
+(* Differential: CDCL vs the exhaustive oracle on seeded 3-CNF at the hard
+   density — a mix of SAT instances and UNSAT cores. *)
 let test_cdcl_differential_3cnf () =
   for seed = 0 to 19 do
     let n = 8 + (seed mod 6) in
     let cnf = random_3cnf seed n in
-    let brute = brute_is_sat cnf in
     check_bool
       (Printf.sprintf "cdcl seed=%d n=%d" seed n)
-      brute
-      (mode_is_sat Solver.Cdcl cnf);
-    check_bool
-      (Printf.sprintf "chrono seed=%d n=%d" seed n)
-      brute
-      (mode_is_sat Solver.Chrono cnf)
+      (brute_is_sat cnf) (cdcl_is_sat cnf)
   done
 
 (* The learning machinery must be observable: refuting PHP(5,4) has to
@@ -156,7 +149,7 @@ let test_multilevel_backjumps_observable () =
   Telemetry.enable ();
   Fun.protect ~finally:Telemetry.disable @@ fun () ->
   let l0 = Telemetry.count m_learned and b0 = Telemetry.count m_backjumps in
-  check_bool "PHP(5,4) unsat" false (mode_is_sat Solver.Cdcl (pigeonhole 5 4));
+  check_bool "PHP(5,4) unsat" false (cdcl_is_sat (pigeonhole 5 4));
   check_bool "clauses were learned" true (Telemetry.count m_learned > l0);
   check_bool "multi-level backjumps happened" true
     (Telemetry.count m_backjumps > b0)
@@ -171,11 +164,11 @@ let test_reduction_cadence_preserves_verdict () =
   let d0 = Telemetry.count m_deleted in
   let cnf = pigeonhole 5 4 in
   check_bool "aggressive cadence: unsat" false
-    (mode_is_sat ~reduce_base:1 Solver.Cdcl cnf);
+    (cdcl_is_sat ~reduce_base:1 cnf);
   check_bool "reductions actually deleted clauses" true
     (Telemetry.count m_deleted > d0);
   check_bool "deletion disabled: unsat" false
-    (mode_is_sat ~reduce_base:0 Solver.Cdcl cnf)
+    (cdcl_is_sat ~reduce_base:0 cnf)
 
 (* Learned-clause minimization (recursive self-subsumption) must actually
    remove literals on conflict-dense instances — and, being a pure
@@ -188,14 +181,14 @@ let test_minimization_observable_and_verdict_preserving () =
   Fun.protect ~finally:Telemetry.disable @@ fun () ->
   let before = Telemetry.count m_min in
   check_bool "PHP(5,4) unsat with minimization active" false
-    (mode_is_sat Solver.Cdcl (pigeonhole 5 4));
+    (cdcl_is_sat (pigeonhole 5 4));
   for seed = 100 to 111 do
     let n = 8 + (seed mod 6) in
     let cnf = random_3cnf seed n in
     check_bool
       (Printf.sprintf "minimized verdict == oracle (seed=%d n=%d)" seed n)
       (brute_is_sat cnf)
-      (mode_is_sat Solver.Cdcl cnf)
+      (cdcl_is_sat cnf)
   done;
   check_bool "self-subsumption removed literals" true
     (Telemetry.count m_min > before)
@@ -223,21 +216,7 @@ let test_backjump_to_root_keeps_units () =
         [ -3; 2; 1 ];
       ]
   in
-  let brute = brute_is_sat cnf in
-  check_bool "cdcl matches brute" brute (mode_is_sat Solver.Cdcl cnf);
-  check_bool "chrono matches brute" brute (mode_is_sat Solver.Chrono cnf)
-
-let test_mode_knobs () =
-  check_bool "mode round-trip cdcl" true
-    (Solver.mode_of_string "cdcl" = Some Solver.Cdcl);
-  check_bool "mode round-trip chrono" true
-    (Solver.mode_of_string "chrono" = Some Solver.Chrono);
-  check_bool "unknown mode rejected" true (Solver.mode_of_string "dpll" = None);
-  check_string "to_string cdcl" "cdcl" (Solver.mode_to_string Solver.Cdcl);
-  let saved = Solver.default_mode () in
-  Fun.protect ~finally:(fun () -> Solver.set_default_mode saved) @@ fun () ->
-  Solver.set_default_mode Solver.Chrono;
-  check_bool "default mode settable" true (Solver.default_mode () = Solver.Chrono)
+  check_bool "cdcl matches brute" (brute_is_sat cnf) (cdcl_is_sat cnf)
 
 (* The sat.analyze probe: armed (programmatically — fires regardless of
    budget), conflict analysis must surface as Unknown (Fault _), never a
@@ -249,7 +228,7 @@ let test_analyze_fault_probe () =
     (fun after ->
       Guard.arm ~site:"sat.analyze" ~after Guard.Raise;
       Fun.protect ~finally:Guard.disarm_all @@ fun () ->
-      match Solver.solve ~mode:Solver.Cdcl cnf with
+      match Solver.solve cnf with
       | Solver.Unknown (Guard.Fault s) ->
           check_string (Printf.sprintf "site (after=%d)" after) "sat.analyze" s
       | Solver.Unknown r ->
@@ -261,7 +240,7 @@ let test_analyze_fault_probe () =
   (* transient fault (times:1) + the probe being per-conflict: the search
      survives the one injected failure on a re-run *)
   Guard.arm ~site:"sat.analyze" ~times:1 Guard.Raise;
-  (match Solver.solve ~mode:Solver.Cdcl cnf with
+  (match Solver.solve cnf with
   | Solver.Unknown (Guard.Fault _) -> ()
   | r ->
       Guard.disarm_all ();
@@ -272,7 +251,7 @@ let test_analyze_fault_probe () =
         | Solver.Unknown r -> Guard.reason_to_string r));
   Guard.disarm_all ();
   check_bool "after the transient fault the verdict is back" false
-    (mode_is_sat Solver.Cdcl cnf)
+    (cdcl_is_sat cnf)
 
 let test_dimacs_roundtrip () =
   let cnf = Cnf.make ~num_vars:3 [ [ 1; -2 ]; [ 2; 3 ]; [ -3 ] ] in
@@ -357,23 +336,19 @@ let prop_sat_models_check (num_vars, clauses) =
   | Solver.Unknown r -> Alcotest.failf "unexpected Unknown: %s" (Guard.reason_to_string r)
 
 (* Restarts must never flip a verdict: compare the most aggressive Luby
-   schedule against the restart-free search, in both engines, and validate
-   Sat models. *)
+   schedule against the restart-free search, and validate Sat models. *)
 let prop_restarts_preserve_verdict (num_vars, clauses) =
   let cnf = Cnf.make ~num_vars clauses in
-  let verdict ~mode ~restart_base = mode_is_sat ~restart_base mode cnf in
-  verdict ~mode:Solver.Cdcl ~restart_base:1
-  = verdict ~mode:Solver.Cdcl ~restart_base:0
-  && verdict ~mode:Solver.Chrono ~restart_base:1
-     = verdict ~mode:Solver.Chrono ~restart_base:0
+  cdcl_is_sat ~restart_base:1 cnf = cdcl_is_sat ~restart_base:0 cnf
 
-(* Both engines agree with each other (and hence with the oracle above)
-   regardless of the learned-clause deletion cadence. *)
+(* CDCL agrees with the brute-force engine under every learned-clause
+   deletion cadence: the default, after every learned clause, and never. *)
 let prop_engines_agree (num_vars, clauses) =
   let cnf = Cnf.make ~num_vars clauses in
-  let cdcl = mode_is_sat Solver.Cdcl cnf in
-  cdcl = mode_is_sat Solver.Chrono cnf
-  && cdcl = mode_is_sat ~reduce_base:1 Solver.Cdcl cnf
+  let brute = brute_is_sat cnf in
+  List.for_all
+    (fun reduce_base -> cdcl_is_sat ?reduce_base cnf = brute)
+    [ None; Some 1; Some 0 ]
 
 let () =
   Alcotest.run "sat"
@@ -401,7 +376,6 @@ let () =
             test_reduction_cadence_preserves_verdict;
           Alcotest.test_case "backjump to root keeps units" `Quick
             test_backjump_to_root_keeps_units;
-          Alcotest.test_case "mode knobs" `Quick test_mode_knobs;
           Alcotest.test_case "sat.analyze fault probe sweep" `Quick
             test_analyze_fault_probe;
         ] );

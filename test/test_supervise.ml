@@ -191,9 +191,7 @@ let test_ladder_records_each_step () =
         && d.Supervise.d_to = to_)
       trail
   in
-  check_bool "parallel -> sequential recorded" true (step "parallel" "sequential");
-  check_bool "sequential -> naive-chase recorded" true
-    (step "sequential" "naive-chase")
+  check_bool "parallel -> sequential recorded" true (step "parallel" "sequential")
 
 let test_no_degrade_stops_the_ladder () =
   let schema, sigma = gen_workload ~consistent:true 5 in
