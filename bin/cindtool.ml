@@ -1252,8 +1252,9 @@ let () =
         "$(b,--jobs) $(i,N) (anywhere on the command line) sets the \
          process-wide domain count for the randomized consistency \
          heuristics (default 1, or the $(b,JOBS) environment variable): \
-         $(b,check-consistency) fans its K random runs across the domains \
-         and races the chase and SAT backends; $(b,gen) accepts the flag \
+         $(b,check-consistency) fans its K random runs across the domains, \
+         always with the one backend $(b,--backend) names (default \
+         $(b,chase)); $(b,gen) accepts the flag \
          like every global so generated-then-checked pipelines can pass it \
          uniformly (generation itself is deterministic from $(b,--seed)).  \
          Verdicts, witnesses and exit codes are identical to $(b,--jobs 1) \

@@ -62,10 +62,12 @@ val check :
 (** Full pipeline (Fig 9): preProcessing + per-component RandomChecking.
     [Yes (Some db)] carries the verified witness; [No] is definitive
     (the Fig 7 reduction emptied the dependency graph); [Unknown r]
-    found no witness within the budgets.  [jobs >= 2] additionally races
-    the chase and SAT backends as a portfolio when no [backend] is
-    forced.  [recorder] collects the read set for incremental callers
-    (see {!Read_set}).  Maps {!Checking.check}. *)
+    found no witness within the budgets.  [jobs >= 2] with no forced
+    [backend] runs the chase pipeline, then the SAT pipeline unless the
+    chase found a witness; [jobs = 1] runs the chase pipeline only, so
+    its answers can differ from those at [jobs >= 2].  [recorder]
+    collects the read set for incremental callers (see {!Read_set}).
+    Maps {!Checking.check}. *)
 
 val check_many :
   ?backend:backend ->
@@ -82,9 +84,10 @@ val check_many :
   verdict list
 (** Batch {!check} of N dependency sets against one schema.  Verdict i is
     bit-identical (including the witness) to
-    [check ~rng:(List.nth (Rng.split_n rng N) i) ... (List.nth sigmas i)]
-    at any jobs count; the batch shares one policy/budget resolution, one
-    interner warm-up and one work-stealing pool ([chunk] items per task).
+    [check ~jobs:1 ~rng:(List.nth (Rng.split_n rng N) i) ...
+    (List.nth sigmas i)] at any jobs count; the batch shares one
+    policy/budget resolution, one interner warm-up and one work-stealing
+    pool ([chunk] items per task).
     Maps {!Checking.check_many}; see there for the shared-budget
     caveat. *)
 

@@ -76,7 +76,7 @@ type compiled_cind = {
   i_rest : (int * string * Domain.t) list; (* unconstrained RHS fields *)
 }
 
-(* Compilation can happen on any domain (racing pipelines compile
+(* Compilation can happen on any domain (pool tasks compile
    independently), so the uid source is atomic. *)
 let cind_uids = Atomic.make 0
 

@@ -55,89 +55,65 @@ let pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
         try_components Guard.Fuel components
   with Guard.Exhausted r -> Unknown r
 
-(* Race the chase-based and SAT-based pipelines (Fig 10a's two backends as
-   a portfolio).  Soundness of the merge:
+(* Merge of the chase-based and SAT-based pipelines (Fig 10a's two
+   backends), run as a cascade on the caller.  Soundness:
    - [Consistent] is verified against Σ by either pipeline, so whichever
-     arrives is correct — a winner cancels the sibling;
+     arrives is correct; the chase witness is preferred, so a chase
+     [Consistent] is the answer without running SAT;
    - SAT-pipeline [Inconsistent] is definitive (the SAT backend is a
      complete decision procedure for the single-tuple CFD problem, and
-     raises rather than answer under exhaustion), so it too cancels;
+     raises rather than answer under exhaustion);
    - chase-pipeline [Inconsistent] is heuristic (its CFD_Checking is
      K_CFD-bounded, Fig 10b): it is held as provisional and reported only
      if the SAT pipeline ends [Unknown].
    The two verdicts cannot contradict: a verified witness proves Σ
    consistent, which a sound SAT [Inconsistent] would refute. *)
-let check_race ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
+let merge chase_r sat_r =
+  match (chase_r, sat_r) with
+  (* Injected faults are never swallowed, not even by a verified witness
+     from the sibling — same invariant as [Guard.recoverable]. *)
+  | Unknown (Guard.Fault _ as f), _ | _, Unknown (Guard.Fault _ as f) ->
+      Unknown f
+  | Consistent db, _ -> Consistent db
+  | _, Consistent db -> Consistent db
+  | _, Inconsistent -> Inconsistent
+  | Inconsistent, Unknown _ -> Inconsistent
+  | Unknown r1, Unknown r2 ->
+      Unknown (match r1 with Guard.Fuel -> r2 | _ -> r1)
+
+(* The chase arm runs first; the SAT arm runs only when the merge could
+   still use it, i.e. unless the chase arm found the (preferred) witness or
+   faulted.  Each arm runs to completion on its own generator, so the
+   answer does not depend on timing or on the jobs count above 1. *)
+let check_cascade ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma =
   (* Fixed split order: chase first, SAT second. *)
   let rng_chase = Rng.split rng in
   let rng_sat = Rng.split rng in
   let inner_jobs = max 1 (jobs / 2) in
-  let recorded : result option array = [| None; None |] in
-  let arm i backend rng tok =
-    let child = Guard.child ~cancel:tok budget in
-    let r =
-      pipeline ~backend ~budget:child ?config ?k ?k_cfd ~jobs:inner_jobs
-        ~rng schema sigma
-    in
-    recorded.(i) <- Some r;
-    r
+  let arm backend rng =
+    pipeline ~backend ~budget:(Guard.child budget) ?config ?k ?k_cfd
+      ~jobs:inner_jobs ~rng schema sigma
   in
-  (* Only results the merge below reports *regardless of the sibling* may
-     cancel it: the chase witness (always preferred) and a SAT
-     [Inconsistent] (definitive, and a chase witness cannot contradict
-     it).  A SAT witness must NOT cancel the chase arm: the merge prefers
-     the chase witness when both pipelines produce one, so cancelling
-     chase would make the reported witness depend on which arm finished
-     first — jobs-count determinism requires waiting the chase arm out
-     and falling back to the SAT witness only when chase ends otherwise
-     (that fallback is deterministic too: chase's own outcome does not
-     depend on the race). *)
-  let definitive i =
-    match recorded.(i) with
-    | Some (Consistent _) -> i = 0
-    | Some Inconsistent -> i = 1 (* SAT only; chase Inconsistent is provisional *)
-    | _ -> false
-  in
-  let outcomes =
-    Parallel.with_pool ~jobs:2 (fun pool ->
-        Parallel.run_race pool ~cancel_rest:definitive
-          [
-            (fun tok -> arm 0 Cfd_checking.Chase_backend rng_chase tok);
-            (fun tok -> arm 1 Cfd_checking.Sat_backend rng_sat tok);
-          ])
-  in
-  let norm = function
-    | Ok r -> r
-    | Error (Guard.Exhausted r) -> Unknown r
-    | Error e -> raise e
-  in
-  match List.map norm outcomes with
-  | [ chase_r; sat_r ] -> (
-      match (chase_r, sat_r) with
-      (* Injected faults are never swallowed, not even by a verified
-         witness from the sibling — same invariant as [Guard.recoverable]. *)
-      | Unknown (Guard.Fault _ as f), _ | _, Unknown (Guard.Fault _ as f) ->
-          Unknown f
-      | Consistent db, _ -> Consistent db
-      | _, Consistent db -> Consistent db
-      | _, Inconsistent -> Inconsistent
-      | Inconsistent, Unknown _ -> Inconsistent
-      | Unknown r1, Unknown r2 ->
-          Unknown (match r1 with Guard.Fuel -> r2 | _ -> r1))
-  | _ -> assert false
+  match arm Cfd_checking.Chase_backend rng_chase with
+  | (Consistent _ | Unknown (Guard.Fault _)) as r -> r
+  | chase_r -> merge chase_r (arm Cfd_checking.Sat_backend rng_sat)
 
-(* The degradation ladder, driven by [Supervise.Policy].  Rungs, fastest
-   first; every rung is verdict-identical to the one below it (the race
-   merge is deterministic):
+(* The degradation ladder, driven by [Supervise.Policy].  Rungs, most
+   capable first:
 
-     parallel race (jobs >= 2)  ->  sequential pipeline
+     parallel: chase-then-SAT cascade (jobs >= 2)
+       ->  sequential: chase pipeline
+
+   Both rungs are sound and seed-deterministic.  The sequential rung is the
+   jobs=1 pipeline, so stepping down may answer [Unknown] where the cascade
+   decides, or report a different witness.
 
    Within a rung, transient failures (injected faults, a local allocation
    ceiling — never deterministic heuristic give-ups, which re-run
    identically) are retried by [Supervise.with_retry]; each attempt
    replays a snapshot of the entry rng, so a fault-free re-run yields the
-   bit-identical verdict the fault-free run would have produced at any
-   jobs count.  When retries run out, the ladder steps down one rung and
+   bit-identical verdict the fault-free run would have produced on that
+   rung.  When retries run out, the ladder steps down one rung and
    records the step on the degradation trail; the last rung's answer is
    final.  The SAT -> chase rung lives below, in
    [Cfd_checking.consistent_rel]. *)
@@ -146,8 +122,8 @@ let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
   Telemetry.incr m_calls;
   (* Checking consults all of Σ (preProcessing walks the full dependency
      graph), so the read set is Σ itself plus every relation it mentions
-     — recorded up front, before the race arms spawn, so no recorder is
-     ever touched from a pool domain. *)
+     — recorded up front, on the caller, so no recorder is ever touched
+     from a pool domain. *)
   (match recorder with
   | None -> ()
   | Some _ ->
@@ -171,7 +147,7 @@ let check ?backend ?budget ?config ?k ?k_cfd ?jobs ?policy ?recorder
   let run_once ~jobs rng =
     match backend with
     | None when jobs >= 2 ->
-        check_race ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma
+        check_cascade ~budget ?config ?k ?k_cfd ~jobs ~rng schema sigma
     | _ ->
         pipeline ?backend ~budget ?config ?k ?k_cfd ~jobs ~rng schema
           sigma
@@ -253,8 +229,7 @@ let intern_schema schema =
 
 (* Batch entry point: one schema, N dependency sets.  Item i behaves
    bit-identically to [check ~jobs:1] on generator i of
-   [Rng.split_n rng N] — and [check] is jobs-invariant, so batch results
-   are bit-identical to N independent [check] calls at any jobs count.
+   [Rng.split_n rng N], at any batch jobs count.
    What the batch shares: the policy/budget resolution, the interner
    warm-up above, and one pool whose domain spawns are amortised over
    every item (items are the coarse work units the work-stealing deques

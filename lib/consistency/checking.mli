@@ -36,21 +36,27 @@ val check :
     over-approximation contract).
 
     [jobs] (default {!Parallel.default_jobs}): with [jobs >= 2] and no
-    forced [backend], the chase-based and SAT-based pipelines race as a
-    portfolio — a verified witness from either, or a definitive SAT
-    [Inconsistent], cancels the sibling; a chase [Inconsistent] (heuristic,
-    K_CFD-bounded) is reported only when the SAT side ends [Unknown].  The
-    remaining jobs fan each pipeline's RandomChecking runs.  With a forced
-    [backend], [jobs] only parallelises RandomChecking (whose verdict is
-    seed-deterministic at any jobs count).
+    forced [backend], the chase-based and SAT-based pipelines run as a
+    cascade on the caller, each on its own split of [rng] — the chase
+    pipeline first; its verified witness is the answer.  Otherwise the
+    SAT pipeline runs: its witness or definitive [Inconsistent] wins,
+    and a chase [Inconsistent] (heuristic, K_CFD-bounded) is reported
+    only when the SAT side ends [Unknown].  Each pipeline fans its
+    RandomChecking runs over [max 1 (jobs / 2)] domains.  Verdicts and
+    witnesses agree at every [jobs >= 2]; [jobs = 1] is the chase-only
+    pipeline on [rng] itself, so it may answer [Unknown] where
+    [jobs >= 2] decides, and its witnesses generally differ.  With a
+    forced [backend], [jobs] only parallelises RandomChecking (whose
+    verdict is seed-deterministic at any jobs count).
 
     [policy] (default: the ambient {!Supervise.Policy}, itself off unless
     the caller — e.g. [cindtool] — enables it) supervises the run.
     Transient failures (injected faults, a local allocation ceiling) are
     retried with the same rng snapshot, so a fault-free re-run yields the
     bit-identical fault-free verdict; when retries run out the ladder
-    degrades [parallel -> sequential] (the rungs are verdict-identical,
-    and the step is recorded on the {!Supervise.degradation_trail}).  Deterministic give-ups — [Unknown
+    degrades [parallel -> sequential] (the sequential rung is the [jobs =
+    1] pipeline above, and the step is recorded on the
+    {!Supervise.degradation_trail}).  Deterministic give-ups — [Unknown
     Fuel] from the paper's K / K_CFD caps, shared deadline or fuel
     exhaustion — are never retried: re-running them is wasted work that
     cannot change the answer.  With supervision off, the historical
@@ -71,10 +77,11 @@ val check_many :
   result list
 (** [check_many ~rng schema sigmas] checks N dependency sets against one
     schema.  Result i is bit-identical (verdict {e and} witness) to
-    [check ~rng:(List.nth (Rng.split_n rng N) i) schema (List.nth sigmas
-    i)] at any jobs count — the batch form changes wall-clock, never
-    answers.  The batch shares one policy/budget resolution, one interner
-    warm-up over the schema, and one domain pool across all items; items
+    [check ~jobs:1 ~rng:(List.nth (Rng.split_n rng N) i) schema
+    (List.nth sigmas i)] at any jobs count — the batch form changes
+    wall-clock, never answers.  The batch shares one policy/budget
+    resolution, one interner warm-up over the schema, and one domain pool
+    across all items; items
     are the coarse tasks the work-stealing runtime balances ([chunk]
     items per task, default {!Parallel.estimate}-chosen), and each item's
     own pipeline runs sequentially.  With [jobs = 1] — or a batch too

@@ -27,13 +27,18 @@ type t = {
 
 let make schema (sigma : Sigma.nf) =
   Telemetry.with_span "checking.depgraph.build" @@ fun () ->
-  let cfds = Hashtbl.create 16 in
   let rels = List.map sym (Db_schema.rel_names schema) in
+  (* CFD(R) in Σ order, grouped in one pass; CFDs on relations outside
+     the schema are dropped. *)
+  let cfds = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace cfds r []) rels;
   List.iter
-    (fun r ->
-      Hashtbl.replace cfds r
-        (List.filter (fun c -> sym c.Cfd.nf_rel = r) sigma.Sigma.ncfds))
-    rels;
+    (fun (c : Cfd.nf) ->
+      let r = sym c.Cfd.nf_rel in
+      match Hashtbl.find_opt cfds r with
+      | Some l -> Hashtbl.replace cfds r (c :: l)
+      | None -> ())
+    (List.rev sigma.Sigma.ncfds);
   let edge_labels = Hashtbl.create 64 in
   List.iter
     (fun (c : Cind.nf) ->

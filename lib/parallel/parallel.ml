@@ -56,7 +56,7 @@ let m_batch_size =
 
 let m_cancels =
   Telemetry.counter "parallel.cancel_signals"
-    ~doc:"loser tokens cancelled by racing combinators"
+    ~doc:"loser tokens cancelled by first_success"
 
 let m_task_faults =
   Telemetry.counter "parallel.tasks_crashed"
@@ -613,32 +613,3 @@ let chunked_first_success pool ?chunk f xs =
       end
 
 let first_success pool f xs = chunked_first_success pool ~chunk:1 f xs
-
-let run_race pool ~cancel_rest thunks =
-  match thunks with
-  | [] -> []
-  | thunks ->
-      let arr = Array.of_list thunks in
-      let n = Array.length arr in
-      let tokens = Array.init n (fun _ -> Guard.token ()) in
-      let outcomes = Array.make n (Error Not_found) in
-      let units =
-        Array.init n (fun i () ->
-            (outcomes.(i) <-
-               (try
-                  Guard.probe "parallel.task";
-                  Ok (arr.(i) tokens.(i))
-                with e -> Error e));
-            if cancel_rest i then
-              Array.iteri
-                (fun j tok ->
-                  if j <> i && not (Guard.is_cancelled tok) then begin
-                    Telemetry.incr m_cancels;
-                    Guard.cancel tok
-                  end)
-                tokens)
-      in
-      exec_units pool units;
-      Array.to_list outcomes
-
-let race pool thunks = run_race pool ~cancel_rest:(fun _ -> false) thunks

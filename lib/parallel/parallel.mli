@@ -2,10 +2,10 @@
     batching and first-success racing, built on the OCaml 5 stdlib only
     (Domain / Mutex / Condition / Atomic).
 
-    The pool exists so the paper's embarrassingly parallel heuristics —
-    [RandomChecking]'s K independent chase runs (Fig 5) and [Checking]'s
-    chase-vs-SAT backend portfolio (Fig 10a) — can use the hardware without
-    giving up reproducibility.  Each runner (the submitting caller plus
+    The pool exists so the paper's embarrassingly parallel heuristic —
+    [RandomChecking]'s K independent chase runs (Fig 5) — and the [*_many]
+    batch entry points can use the hardware without giving up
+    reproducibility.  Each runner (the submitting caller plus
     [jobs - 1] worker domains) owns a deque; submission distributes tasks
     round-robin, a runner pops its own deque first and steals the oldest
     task from a pseudo-randomly chosen victim when it runs dry
@@ -148,21 +148,3 @@ val chunked_first_success :
     cancelled task counts as [None] — so the selected result is still the
     one the sequential loop would have stopped at, at any [jobs] count
     and any chunk size. *)
-
-val race : pool -> (Guard.token -> 'a) list -> ('a, exn) result list
-(** Run the thunks concurrently, each with its own cancellation token, and
-    return every outcome in submission order — [Error] captures whatever
-    the thunk raised (typically [Guard.Exhausted Cancelled] for losers).
-    The caller decides who "won"; use {!first_success} when [Some]-ness is
-    the criterion.  Tokens are exposed so the caller can cancel
-    cross-sibling (e.g. backend A's success cancels backend B); see
-    {!tokens_of}. *)
-
-val run_race :
-  pool ->
-  cancel_rest:(int -> bool) ->
-  (Guard.token -> 'a) list ->
-  ('a, exn) result list
-(** Generalised {!race}: after task [i] completes, [cancel_rest i] decides
-    whether the remaining (higher- and lower-indexed) unfinished siblings
-    should be cancelled.  [race] is [run_race ~cancel_rest:(fun _ -> false)]. *)

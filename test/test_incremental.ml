@@ -96,7 +96,7 @@ let replay ?jobs ~seed ~cache w =
   let out = ref [] in
   for i = 0 to steps - 1 do
     random_edit rng w [ s ] i;
-    (* [check] races whole-Σ consistency — the expensive probe — so it
+    (* [check] runs whole-Σ consistency — the expensive probe — so it
        joins the battery every few steps only *)
     out := battery w s ~deep:(i mod 6 = 5) :: !out
   done;

@@ -4,9 +4,9 @@ open Conddep_generator
 open Helpers
 
 (* The domain pool and the parallel checking paths: deterministic fork-join
-   and racing combinators, cooperative cancellation of race losers, pool
-   shutdown under fault injection, and — the property the whole design
-   hangs on — bit-identical verdicts and witnesses at any [jobs] count. *)
+   and first-success combinators, pool shutdown under fault injection, and
+   — the property the whole design hangs on — bit-identical verdicts and
+   witnesses at any [jobs] count. *)
 
 (* --- pool combinators -------------------------------------------------------- *)
 
@@ -55,41 +55,6 @@ let test_default_jobs_clamped () =
   check_bool "clamped to >= 1" true (Parallel.default_jobs () >= 1);
   Parallel.set_default_jobs 3;
   check_int "override visible" 3 (Parallel.default_jobs ())
-
-(* --- cancellation: race losers terminate via Guard.Cancelled ----------------- *)
-
-let test_race_losers_cancelled () =
-  (* Task 0 returns promptly; the losers spin on a cancellable budget.
-     They can only exit through cooperative cancellation — the 10s
-     deadline is a safety net that turns a broken cancel path into a
-     visible wrong-reason failure rather than a hung test. *)
-  let loser tok =
-    let b = Guard.make ~cancel:tok ~timeout_s:10. () in
-    let rec spin () =
-      Guard.check b;
-      spin ()
-    in
-    spin ()
-  in
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let results =
-        Parallel.run_race pool
-          ~cancel_rest:(fun i -> i = 0)
-          ((fun _tok -> "winner") :: List.init 3 (fun _ -> loser))
-      in
-      match results with
-      | [ Ok w; l1; l2; l3 ] ->
-          check_string "winner result" "winner" w;
-          List.iteri
-            (fun i l ->
-              match l with
-              | Error (Guard.Exhausted Guard.Cancelled) -> ()
-              | Error e ->
-                  Alcotest.failf "loser %d: expected Cancelled, got %s" (i + 1)
-                    (Printexc.to_string e)
-              | Ok _ -> Alcotest.failf "loser %d cannot finish" (i + 1))
-            [ l1; l2; l3 ]
-      | _ -> Alcotest.fail "four results in submission order")
 
 (* --- shutdown: idempotent, also mid-fault ------------------------------------ *)
 
@@ -199,13 +164,15 @@ let describe = function
   | Random_checking.Consistent db -> Fmt.str "consistent:%a" Database.pp db
   | Random_checking.Unknown r -> Fmt.str "unknown:%s" (Guard.reason_to_string r)
 
-let gen_workload ~consistent seed =
+let gen_workload ?(relations = 4) ?(constraints = 24) ~consistent seed =
   let rng = Rng.make seed in
   let schema =
-    Schema_gen.generate rng { Schema_gen.default with num_relations = 4 }
+    Schema_gen.generate rng
+      { Schema_gen.default with num_relations = relations }
   in
   let gen = if consistent then Workload.consistent else Workload.random in
-  (schema, gen rng { Workload.default with num_constraints = 24 } schema)
+  ( schema,
+    gen rng { Workload.default with num_constraints = constraints } schema )
 
 let test_jobs_identical_witness () =
   (* a satisfiable Σ: the parallel fan-out must return the same verdict
@@ -237,9 +204,10 @@ let describe_checking = function
   | Checking.Inconsistent -> "inconsistent"
   | Checking.Unknown r -> Fmt.str "unknown:%s" (Guard.reason_to_string r)
 
-let test_checking_race_identical () =
-  (* the full pipeline, backend racing included: same verdict at any jobs
-     count, for both a satisfiable and an unconstrained random Σ *)
+let test_checking_jobs_1_vs_4 () =
+  (* the full pipeline: jobs=1 (chase only) and jobs=4 (the chase-then-SAT
+     cascade) agree on a satisfiable and an unconstrained random Σ that
+     preprocessing decides *)
   List.iter
     (fun (consistent, seed) ->
       let schema, sigma = gen_workload ~consistent seed in
@@ -251,6 +219,64 @@ let test_checking_race_identical () =
         (Fmt.str "seed %d jobs=4 identical" seed)
         seq (run 4))
     [ (true, 5); (false, 21) ]
+
+(* Workloads large enough that some need RandomChecking, the SAT pipeline,
+   or end Inconsistent or Unknown (8 relations, 300 constraints). *)
+let cascade_workloads =
+  List.map (fun seed -> (true, seed)) [ 1; 2; 3; 6; 14 ]
+  @ List.map (fun seed -> (false, seed)) [ 1; 2; 5; 14 ]
+
+let gen_large ~consistent seed =
+  gen_workload ~relations:8 ~constraints:300 ~consistent seed
+
+let test_checking_jobs_2_vs_4 () =
+  (* every jobs >= 2 runs the same cascade: verdict and printed witness
+     agree between jobs=2 and jobs=4 *)
+  List.iter
+    (fun (consistent, seed) ->
+      let schema, sigma = gen_large ~consistent seed in
+      let run jobs =
+        describe_checking (Checking.check ~jobs ~rng:(Rng.make 4) schema sigma)
+      in
+      check_string
+        (Fmt.str "%s seed %d jobs=2 vs jobs=4"
+           (if consistent then "consistent" else "random")
+           seed)
+        (run 2) (run 4))
+    cascade_workloads
+
+let test_cascade_telemetry () =
+  (* the SAT pipeline runs only when the chase pipeline has no witness, and
+     jobs=2 never needs a pool *)
+  let sat_calls = Telemetry.counter "checking.cfd.sat_backend_calls" in
+  let spawned = Telemetry.counter "parallel.domains_spawned" in
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let run (schema, sigma) =
+    let s0 = Telemetry.count sat_calls and d0 = Telemetry.count spawned in
+    let r =
+      describe_checking (Checking.check ~jobs:2 ~rng:(Rng.make 4) schema sigma)
+    in
+    (r, Telemetry.count sat_calls - s0, Telemetry.count spawned - d0)
+  in
+  (* decided by the chase pipeline's preprocessing *)
+  let schema, sigma = gen_workload ~consistent:true 5 in
+  let r, sat, dom = run (schema, sigma) in
+  check_bool "preprocessing decides it" true
+    (match
+       Preprocessing.run ~backend:Cfd_checking.Chase_backend
+         ~budget:Guard.unlimited ~rng:(Rng.make 4) schema sigma
+     with
+    | Preprocessing.Consistent _ -> true
+    | _ -> false);
+  check_bool "witness found" true (String.starts_with ~prefix:"consistent" r);
+  check_int "no SAT backend calls" 0 sat;
+  check_int "no domains spawned" 0 dom;
+  (* the chase pipeline calls it Inconsistent: SAT runs and confirms *)
+  let r, sat, dom = run (gen_large ~consistent:false 5) in
+  check_string "inconsistent" "inconsistent" r;
+  check_bool "SAT backend consulted" true (sat > 0);
+  check_int "no domains spawned" 0 dom
 
 (* --- work stealing: chunked combinators and the cost model ------------------ *)
 
@@ -357,11 +383,6 @@ let () =
           Alcotest.test_case "steal counter monotone, results exact" `Quick
             test_steals_counted;
         ] );
-      ( "cancellation",
-        [
-          Alcotest.test_case "race losers terminate via Cancelled" `Quick
-            test_race_losers_cancelled;
-        ] );
       ( "shutdown",
         [
           Alcotest.test_case "idempotent" `Quick test_shutdown_idempotent;
@@ -385,7 +406,11 @@ let () =
             test_jobs_identical_witness;
           Alcotest.test_case "unknown reason identical at any jobs count" `Quick
             test_jobs_identical_unknown;
-          Alcotest.test_case "Checking backend race identical" `Quick
-            test_checking_race_identical;
+          Alcotest.test_case "Checking jobs=1 == jobs=4" `Quick
+            test_checking_jobs_1_vs_4;
+          Alcotest.test_case "Checking jobs=2 == jobs=4" `Quick
+            test_checking_jobs_2_vs_4;
+          Alcotest.test_case "cascade runs SAT only when needed" `Quick
+            test_cascade_telemetry;
         ] );
     ]
