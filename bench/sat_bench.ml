@@ -18,9 +18,16 @@ module Cnf = Conddep_sat.Cnf
    recorded measurement of the retired chronological (pre-learning)
    engine on the same instances: at quick scale the verdicts must equal
    the recorded ones pointwise, and CI gates the CDCL total against the
-   recorded chronological total. *)
+   recorded chronological total.
+
+   Each race row also records the chase backend's deterministic work
+   counters over the point ([race_counters]), which CI compares exactly
+   with the committed file; wall times stay informational. *)
 
 (* --- part 1: chase vs SAT race over the Fig 10(a) axis ----------------------- *)
+
+let race_counters =
+  [ "chase.fd_steps"; "chase.delta.drained"; "checking.cfd.kcfd_retries" ]
 
 let race_sweep scale =
   let sconfig = Workloads.schema_config ~finite_ratio:0.25 scale in
@@ -31,6 +38,7 @@ let race_sweep scale =
   List.map
     (fun per_rel ->
       let result = ref (0, 0., 0.) in
+      let before = Telemetry.counter_snapshot () in
       with_series_metrics (Printf.sprintf "sat-race/cfds=%d" per_rel)
         (fun () ->
           let rng = Rng.make (1000 + per_rel) in
@@ -55,10 +63,16 @@ let race_sweep scale =
           let chase_s = time_backend Cind_api.Chase_backend in
           let sat_s = time_backend Cind_api.Sat_backend in
           result := (per_rel, chase_s, sat_s));
+      let diff = counter_diff before (Telemetry.counter_snapshot ()) in
+      let counters =
+        List.map
+          (fun name -> (name, Option.value ~default:0 (List.assoc_opt name diff)))
+          race_counters
+      in
       let per_rel, chase_s, sat_s = !result in
       row "%-14d %-12.4f %-12.4f %-8s@." per_rel chase_s sat_s
         (if sat_s <= chase_s then "sat" else "chase");
-      (per_rel, chase_s, sat_s))
+      (per_rel, chase_s, sat_s, counters))
     (Workloads.fig10a_cfds_per_relation scale)
 
 (* --- part 2: CDCL on random 3-CNF against the chronological baseline ------ *)
@@ -138,25 +152,27 @@ let run scale =
   let cdcl_total = List.fold_left (fun a (_, c, _) -> a +. c) 0. cnf in
   (* crossover: the first sweep point where the race winner differs from
      the first point's winner (null when the winner never flips) *)
-  let winner (_, chase_s, sat_s) = sat_s <= chase_s in
+  let winner (_, chase_s, sat_s, _) = sat_s <= chase_s in
   let crossover =
     match race with
     | [] -> None
     | first :: rest ->
         List.find_opt (fun p -> winner p <> winner first) rest
-        |> Option.map (fun (k, _, _) -> k)
+        |> Option.map (fun (k, _, _, _) -> k)
   in
   let oc = open_out "BENCH_sat.json" in
   let j = Printf.fprintf in
   j oc "{\n";
   j oc "  \"race\": [\n";
   List.iteri
-    (fun i (k, chase_s, sat_s) ->
+    (fun i (k, chase_s, sat_s, counters) ->
       j oc
         "    {\"cfds_per_relation\": %d, \"chase_s\": %.6f, \"sat_s\": %.6f, \
-         \"winner\": %S}%s\n"
+         \"winner\": %S, \"counters\": {%s}}%s\n"
         k chase_s sat_s
         (if sat_s <= chase_s then "sat" else "chase")
+        (String.concat ", "
+           (List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) counters))
         (if i = List.length race - 1 then "" else ","))
     race;
   j oc "  ],\n";

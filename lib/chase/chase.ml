@@ -253,19 +253,35 @@ let fd_least cfd pending all =
    are dirty, a pair of clean tuples was examined violation-free and both
    its tuples are unchanged since (substitutions enqueue the rewritten
    versions), and worklists are only cleared when a full saturation pass
-   found no violation at all. *)
+   found no violation at all.  Neither changes during a pick, so each
+   relation's view (live worklist entries, their count, its tuples, the
+   tuples skipped) is built once, at the first CFD visited on it; the
+   counters still count one re-examination per CFD visit. *)
 let fd_pick_delta cfds db (dirty : worklist) =
+  let views = Hashtbl.create 8 in
+  let view rel =
+    match Hashtbl.find_opt views rel with
+    | Some v -> v
+    | None ->
+        let v =
+          match wl_take dirty rel with
+          | [] -> None
+          | pending ->
+              let live = List.filter (Template.mem db rel) pending in
+              let n = List.length live in
+              Some (live, n, Template.tuples db rel, max 0 (Template.cardinal db rel - n))
+        in
+        Hashtbl.add views rel v;
+        v
+  in
   let rec go = function
     | [] -> None
     | cfd :: rest -> (
-        match wl_take dirty cfd.f_rel with
-        | [] -> go rest
-        | pending -> (
-            let all = Template.tuples db cfd.f_rel in
-            let live = List.filter (Template.mem db cfd.f_rel) pending in
-            Telemetry.add m_drained (List.length live);
-            Telemetry.add m_skipped
-              (max 0 (Template.cardinal db cfd.f_rel - List.length live));
+        match view cfd.f_rel with
+        | None -> go rest
+        | Some (live, n, all, skipped) -> (
+            Telemetry.add m_drained n;
+            Telemetry.add m_skipped skipped;
             match fd_least cfd live all with
             | Some (_, _, act) -> Some act
             | None -> go rest))

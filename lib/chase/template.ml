@@ -48,8 +48,6 @@ let cell_matches_pattern cell pat =
   | C v, Pattern.Const c -> Value.equal v c
   | V _, Pattern.Const _ -> false
 
-let cell_is_var = function V _ -> true | C _ -> false
-
 let pp_var ppf v = Fmt.pf ppf "%s.%s#%d" v.vrel v.vattr v.vidx
 
 let pp_cell ppf = function V v -> pp_var ppf v | C value -> Value.pp ppf value
@@ -58,7 +56,8 @@ type tuple = cell array
 
 let tuple_compare (a : tuple) (b : tuple) =
   let n = Array.length a and m = Array.length b in
-  if n <> m then Int.compare n m
+  if a == b then 0
+  else if n <> m then Int.compare n m
   else
     let rec go i =
       if i >= n then 0

@@ -91,20 +91,6 @@ let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
           in
           attempts k_cfd)
 
-let check_template ?budget ?k_cfd ?avoid ~rng compiled_cfds db =
-  match
-    check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled_cfds db
-  with
-  | Instantiated db -> Some db
-  | Contradiction | Exhausted_k -> None
-
-(* Single-relation consistency via the chase backend: start from the
-   single-tuple template τ(R). *)
-let consistent_rel_chase ?budget ?k_cfd ?avoid ~rng schema cfds ~rel =
-  let compiled = List.map (Chase.compile_cfd schema) cfds in
-  check_template ?budget ?k_cfd ?avoid ~rng compiled
-    (Chase.seed_tuple schema ~rel)
-
 (* --- SAT-based CFD_Checking --- *)
 
 (* Per-attribute candidate values: the finite domain, or the constants on

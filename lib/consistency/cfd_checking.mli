@@ -32,37 +32,13 @@ val check_template_outcome :
   Chase.compiled_cfd list ->
   Template.t ->
   template_outcome
-(** Three-way form of {!check_template}, distinguishing the definitive
-    refutation from the heuristic give-up.  Consumes the same rng stream
-    as {!check_template} on the same inputs.
-    @raise Guard.Exhausted when the shared [budget] (default: ambient)
-    runs dry or an armed fault fires. *)
-
-val check_template :
-  ?budget:Guard.t ->
-  ?k_cfd:int ->
-  ?avoid:Value.t list ->
-  rng:Rng.t ->
-  Chase.compiled_cfd list ->
-  Template.t ->
-  Template.t option
 (** Chase a template with CFDs only, then try up to [k_cfd] random
-    valuations of the remaining finite-domain variables; returns a template
-    whose finite-domain variables are all constants, if one is found.
+    valuations of the remaining finite-domain variables: a template whose
+    finite-domain variables are all constants, a definitive refutation,
+    or the heuristic give-up.
     @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
     dry or an armed fault fires; local step-fuel exhaustion of the
     fixpoint is swallowed as a failed attempt. *)
-
-val consistent_rel_chase :
-  ?budget:Guard.t ->
-  ?k_cfd:int ->
-  ?avoid:Value.t list ->
-  rng:Rng.t ->
-  Db_schema.t ->
-  Cfd.nf list ->
-  rel:string ->
-  Template.t option
-(** [check_template] starting from the single-tuple template τ(rel). *)
 
 val consistent_rel_sat :
   ?budget:Guard.t ->

@@ -88,9 +88,7 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   let g = Depgraph.make schema sigma in
   let sccs = Depgraph.sccs g in
   Telemetry.add m_sccs (List.length sccs);
-  let avoid =
-    List.map (fun (_, _, v) -> v) (Sigma.constants sigma) |> List.sort_uniq Value.compare
-  in
+  let avoid = Sigma.constant_values sigma in
   (* The work queue and the CIND grouping key on interned symbol ids
      (reusing the global table Depgraph vertices are keyed on), so
      re-queueing and the per-vertex trigger test never re-hash relation

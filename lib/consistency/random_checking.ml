@@ -51,11 +51,11 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
     else begin
       Guard.tick budget;
       match
-        Cfd_checking.check_template ~budget ~k_cfd ~avoid ~rng
+        Cfd_checking.check_template_outcome ~budget ~k_cfd ~avoid ~rng
           compiled.Chase.cfds db
       with
-      | None -> None
-      | Some db -> (
+      | Cfd_checking.Contradiction | Cfd_checking.Exhausted_k -> None
+      | Cfd_checking.Instantiated db -> (
           match Chase.Ind_cursor.step ~budget cursor ~rng db with
           | Chase.Ind_cursor.Step_applied { db = db'; _ } -> loop db' (steps + 1)
           | Chase.Ind_cursor.Step_none -> Some db (* chase_I terminal *)
@@ -73,10 +73,7 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
   try
     Guard.probe ~budget "checking.random";
     let compiled = Chase.compile schema sigma in
-    let avoid =
-      List.map (fun (_, _, v) -> v) (Sigma.constants sigma)
-      |> List.sort_uniq Value.compare
-    in
+    let avoid = Sigma.constant_values sigma in
     let seed_rels =
       match seed_rels with Some rels -> rels | None -> Db_schema.rel_names schema
     in

@@ -50,8 +50,6 @@ let cinds_between nf ~src ~dst =
     (fun c -> String.equal c.Cind.nf_lhs src && String.equal c.Cind.nf_rhs dst)
     nf.ncinds
 
-let cinds_from nf rel = List.filter (fun c -> String.equal c.Cind.nf_lhs rel) nf.ncinds
-
 (* All constants of Σ grouped per (relation, attribute). *)
 let constants nf =
   List.concat_map
@@ -59,6 +57,16 @@ let constants nf =
       List.map (fun (a, v) -> (c.Cfd.nf_rel, a, v)) (Cfd.nf_constants c))
     nf.ncfds
   @ List.concat_map Cind.nf_constants nf.ncinds
+
+(* The distinct pattern constants of Σ, sorted: deduplicated through a
+   table first, so only the distinct values are sorted. *)
+let constant_values nf =
+  let seen = Hashtbl.create 64 in
+  let note v = Hashtbl.replace seen v () in
+  List.iter (fun c -> List.iter (fun (_, v) -> note v) (Cfd.nf_constants c)) nf.ncfds;
+  List.iter (fun c -> List.iter (fun (_, _, v) -> note v) (Cind.nf_constants c)) nf.ncinds;
+  Hashtbl.fold (fun v () acc -> v :: acc) seen []
+  |> List.sort Conddep_relational.Value.compare
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a%a%a@]"

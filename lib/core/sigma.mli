@@ -29,10 +29,11 @@ val cfds_on : nf -> string -> Cfd.nf list
 val cinds_between : nf -> src:string -> dst:string -> Cind.nf list
 (** The paper's [CIND(Ri, Rj)]. *)
 
-val cinds_from : nf -> string -> Cind.nf list
-
 val constants : nf -> (string * string * Value.t) list
 (** Every pattern constant of Σ as a [(relation, attribute, value)] triple. *)
+
+val constant_values : nf -> Value.t list
+(** The distinct pattern constants of Σ, sorted by [Value.compare]. *)
 
 val pp : t Fmt.t
 val pp_nf : nf Fmt.t

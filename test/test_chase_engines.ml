@@ -1,4 +1,5 @@
 open Conddep_relational
+open Conddep_core
 open Conddep_chase
 open Conddep_consistency
 open Conddep_generator
@@ -8,9 +9,10 @@ open Helpers
    executes the same canonical operation schedule as the naive oracle
    [Naive_chase] (full rescans built from [Chase.fd_step] and
    [Chase.ind_step]), so for equal inputs and random seeds both produce
-   bit-identical outcomes and final templates.  RandomChecking's witnesses
-   are identical at any jobs count.  Plus the fault probes on the delta
-   engine's entry points. *)
+   bit-identical outcomes and final templates.  [Chase.fd_fixpoint] alone
+   is held to [Naive_chase.fd_fixpoint] on wide CFD sets, and its work
+   counters are pinned.  RandomChecking's witnesses are identical at any
+   jobs count.  Plus the fault probes on the delta engine's entry points. *)
 
 let small_workload seed =
   let rng = Rng.make seed in
@@ -64,6 +66,169 @@ let prop_random_checking_equiv seed =
   in
   String.equal (run 1) (run 4)
 
+(* --- FD saturation alone: Chase.fd_fixpoint vs Naive_chase.fd_fixpoint -------- *)
+
+(* The random-j1 shape: a relation with over a hundred CFDs of a generated
+   CFD-only Σ (consistent for even seeds, random for odd ones), chased from
+   its seed tuple, then from K_CFD-style random valuations of the terminal
+   template's finite-domain variables. *)
+let wide_rel_inputs seed =
+  let rng = Rng.make seed in
+  let schema =
+    Schema_gen.generate rng { Schema_gen.default with num_relations = 2 }
+  in
+  let sigma =
+    Workload.cfds_only rng
+      { Workload.default with num_constraints = 240 }
+      schema ~consistent:(seed mod 2 = 0)
+  in
+  let rel = List.hd (Db_schema.rel_names schema) in
+  let nfs = Sigma.cfds_on sigma rel in
+  let cfds = List.map (Chase.compile_cfd schema) nfs in
+  let start = Chase.seed_tuple schema ~rel in
+  let avoid = Sigma.constant_values sigma in
+  let demanded = Chase.conclusion_constants schema cfds in
+  let prefer r a =
+    List.filter_map
+      (fun ((r', a'), v) -> if r = r' && a = a' then Some v else None)
+      demanded
+  in
+  let valuations =
+    match Chase.fd_fixpoint cfds start with
+    | Chase.Terminal t ->
+        List.init 3 (fun _ -> Chase.instantiate_finite_vars ~prefer ~avoid rng t)
+    | Chase.Undefined _ | Chase.Exhausted _ -> []
+  in
+  (List.length nfs, cfds, start :: valuations)
+
+(* Several tuples in each of 3 relations whose cells are drawn from a few
+   variables and constants, against a generated CFD-only Σ (consistent for
+   even seeds, random for odd ones) whose compiled order interleaves the
+   relations. *)
+let multi_rel_input seed =
+  let rng = Rng.make seed in
+  let schema =
+    Schema_gen.generate rng
+      { Schema_gen.default with num_relations = 3; max_arity = 6 }
+  in
+  let sigma =
+    Workload.cfds_only rng
+      { Workload.default with num_constraints = 150 }
+      schema ~consistent:(seed mod 2 = 0)
+  in
+  let consts = Sigma.constants sigma in
+  (* constants: the hidden witness's for a consistent Σ, Σ's own otherwise *)
+  let cell rel attr =
+    let name = Attribute.name attr in
+    let pool =
+      if seed mod 2 = 0 then [ Workload.witness_value attr ]
+      else
+        List.filter_map
+          (fun (r, a, v) -> if r = rel && a = name then Some v else None)
+          consts
+    in
+    if pool <> [] && Rng.int rng 3 = 0 then Template.C (Rng.pick rng pool)
+    else Template.V { Template.vrel = rel; vattr = name; vidx = Rng.int rng 3 }
+  in
+  let db =
+    List.fold_left
+      (fun db r ->
+        let rel = Schema.name r in
+        let tuple () = Array.of_list (List.map (cell rel) (Schema.attrs r)) in
+        List.fold_left (fun db t -> Template.add db rel t) db
+          (List.init 6 (fun _ -> tuple ())))
+      (Template.empty schema) (Db_schema.relations schema)
+  in
+  (sigma, List.map (Chase.compile_cfd schema) sigma.Sigma.ncfds, db)
+
+(* Relation changes along Σ's CFD order: more changes than relations means
+   some relation's CFDs resume after another relation's. *)
+let rel_switches (sigma : Sigma.nf) =
+  let rec go n = function
+    | a :: (b :: _ as rest) ->
+        go (if String.equal a.Cfd.nf_rel b.Cfd.nf_rel then n else n + 1) rest
+    | [ _ ] | [] -> n
+  in
+  go 0 sigma.Sigma.ncfds
+
+let kind = function
+  | Chase.Terminal _ -> `Terminal
+  | Chase.Undefined _ -> `Undefined
+  | Chase.Exhausted _ -> `Exhausted
+
+(* Run both fixpoints on every input, fail on the first differing printed
+   outcome, and return the delta engine's outcome kinds. *)
+let fd_differential ?max_steps label inputs =
+  List.map
+    (fun (cfds, db) ->
+      let delta = Chase.fd_fixpoint ?max_steps cfds db in
+      let naive = Naive_chase.fd_fixpoint ?max_steps cfds db in
+      if not (String.equal (outcome_repr delta) (outcome_repr naive)) then
+        Alcotest.failf "%s: delta %s@.naive %s" label (outcome_repr delta)
+          (outcome_repr naive);
+      kind delta)
+    inputs
+
+let test_fd_wide_relation () =
+  let kinds =
+    List.concat_map
+      (fun seed ->
+        let n, cfds, dbs = wide_rel_inputs seed in
+        if n < 100 then Alcotest.failf "seed %d: only %d CFDs on the relation" seed n;
+        fd_differential (Printf.sprintf "wide seed %d" seed)
+          (List.map (fun db -> (cfds, db)) dbs))
+      (List.init 12 Fun.id)
+  in
+  check_bool "some input clashes" true (List.mem `Undefined kinds);
+  check_bool "some input saturates" true (List.mem `Terminal kinds)
+
+let test_fd_multi_relation () =
+  let kinds =
+    List.concat_map
+      (fun seed ->
+        let sigma, cfds, db = multi_rel_input seed in
+        if rel_switches sigma <= 3 then
+          Alcotest.failf "seed %d: CFD order does not interleave relations" seed;
+        let label = Printf.sprintf "multi seed %d" seed in
+        fd_differential label [ (cfds, db) ]
+        @ fd_differential ~max_steps:2 (label ^ " max_steps 2") [ (cfds, db) ])
+      (List.init 30 Fun.id)
+  in
+  check_bool "some input clashes" true (List.mem `Undefined kinds);
+  check_bool "some input saturates" true (List.mem `Terminal kinds);
+  check_bool "some input runs out of steps" true (List.mem `Exhausted kinds)
+
+(* Deterministic work counters of fixed wide inputs, pinned exactly: FD
+   steps, and the tuples re-examined (drained) and not re-examined
+   (skipped) summed over every CFD visit.  A faster FD engine keeps them.
+   Skipped is 0 here: within one saturation pass the worklist is only
+   cleared at the end, so it holds every live tuple. *)
+let fd_counters cfds db =
+  let names = [ "chase.fd_steps"; "chase.delta.drained"; "chase.delta.skipped" ] in
+  let count name = Telemetry.count (Telemetry.counter name) in
+  let was_enabled = Telemetry.enabled () in
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () -> if not was_enabled then Telemetry.disable ())
+  @@ fun () ->
+  let before = List.map count names in
+  let outcome = Chase.fd_fixpoint cfds db in
+  (kind outcome, List.map2 (fun name b -> (name, count name - b)) names before)
+
+let test_fd_counters_pinned () =
+  let check label cfds db ~kind:k expected =
+    let k', counters = fd_counters cfds db in
+    check_bool (label ^ " outcome kind") true (k = k');
+    List.iter2
+      (fun (name, expected) (_, got) -> check_int (label ^ " " ^ name) expected got)
+      expected counters
+  in
+  let _, cfds, dbs = wide_rel_inputs 0 in
+  check "wide seed 0" cfds (List.hd dbs) ~kind:`Terminal
+    [ ("chase.fd_steps", 13); ("chase.delta.drained", 812); ("chase.delta.skipped", 0) ];
+  let _, cfds, db = multi_rel_input 2 in
+  check "multi seed 2" cfds db ~kind:`Terminal
+    [ ("chase.fd_steps", 37); ("chase.delta.drained", 3612); ("chase.delta.skipped", 0) ]
+
 (* --- fault probes on the delta engine's entry points -------------------------- *)
 
 let test_delta_run_fault () =
@@ -103,6 +268,15 @@ let () =
             (prop_chase_equiv ~instantiated:true);
           qtest ~count:8 "RandomChecking identical across jobs counts"
             (seed_gen 0 200) prop_random_checking_equiv;
+        ] );
+      ( "fd-fixpoint",
+        [
+          Alcotest.test_case "wide relation identical to naive" `Quick
+            test_fd_wide_relation;
+          Alcotest.test_case "three relations identical to naive" `Quick
+            test_fd_multi_relation;
+          Alcotest.test_case "work counters pinned" `Quick
+            test_fd_counters_pinned;
         ] );
       ( "faults",
         [

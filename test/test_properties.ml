@@ -92,8 +92,8 @@ let prop_sat_matches_exact seed =
       exact = sat)
     (Db_schema.relations schema)
 
-(* Chase-based CFD_Checking is sound: a [Some] answer implies exact
-   consistency. *)
+(* Chase-based CFD_Checking is sound: a witness tuple implies exact
+   consistency, a refutation exact inconsistency. *)
 let prop_chase_cfd_checking_sound seed =
   let schema, sigma = make_workload ~consistent:false seed in
   let cfds = sigma.Sigma.ncfds in
@@ -102,12 +102,20 @@ let prop_chase_cfd_checking_sound seed =
       let rel = Conddep_relational.Schema.name rel in
       let rel_cfds = List.filter (fun nf -> nf.Cfd.nf_rel = rel) cfds in
       match
-        Cfd_checking.consistent_rel_chase ~k_cfd:20 ~rng:(Rng.make (seed + 2)) schema
-          rel_cfds ~rel
+        Cfd_checking.consistent_rel ~backend:Cfd_checking.Chase_backend ~k_cfd:20
+          ~rng:(Rng.make (seed + 2)) schema rel_cfds ~rel
       with
-      | Some _ -> Cfd_consistency.consistent_rel schema ~rel cfds
-      | None -> true)
+      | Cfd_checking.Tuple _ -> Cfd_consistency.consistent_rel schema ~rel cfds
+      | Cfd_checking.No_tuple ->
+          not (Cfd_consistency.consistent_rel schema ~rel cfds)
+      | Cfd_checking.Gave_up -> true)
     (Db_schema.relations schema)
+
+(* [Sigma.constant_values] is the sorted distinct list of [Sigma.constants]. *)
+let prop_constant_values seed =
+  let _, sigma = make_workload ~consistent:false seed in
+  Sigma.constant_values sigma
+  = List.sort_uniq Value.compare (List.map (fun (_, _, v) -> v) (Sigma.constants sigma))
 
 (* --- normalization and satisfaction ----------------------------------------- *)
 
@@ -344,6 +352,8 @@ let () =
           qtest ~count:30 "nf satisfaction agrees" seed_gen prop_nf_satisfaction_agrees;
           qtest ~count:30 "FO readings agree with native semantics" seed_gen
             prop_logic_agrees;
+          qtest ~count:60 "constant values sorted and distinct" seed_gen
+            prop_constant_values;
         ] );
       ( "implication",
         [
