@@ -9,9 +9,9 @@ module Cnf = Conddep_sat.Cnf
 
    Part 1 races the chase and SAT backends of CFD_Checking over a
    constraints-per-relation sweep (the Fig 10(a) axis) and records the
-   per-point winner plus the crossover where the winner flips — the
-   paper's own framing of the two backends (SAT4j wins small, the chase
-   scales better; a faster SAT core moves the flip point).
+   winner of every point — the paper's own framing of the two backends
+   (SAT4j wins small, the chase scales better).  The winners are listed
+   in sweep order because the race may flip more than once.
 
    Part 2 solves seeded random 3-CNF at the phase-transition ratio
    (m/n ~ 4.26, the empirically hardest density) and compares against the
@@ -28,6 +28,8 @@ module Cnf = Conddep_sat.Cnf
 
 let race_counters =
   [ "chase.fd_steps"; "chase.delta.drained"; "checking.cfd.kcfd_retries" ]
+
+let winner ~chase_s ~sat_s = if sat_s <= chase_s then "sat" else "chase"
 
 let race_sweep scale =
   let sconfig = Workloads.schema_config ~finite_ratio:0.25 scale in
@@ -71,7 +73,7 @@ let race_sweep scale =
       in
       let per_rel, chase_s, sat_s = !result in
       row "%-14d %-12.4f %-12.4f %-8s@." per_rel chase_s sat_s
-        (if sat_s <= chase_s then "sat" else "chase");
+        (winner ~chase_s ~sat_s);
       (per_rel, chase_s, sat_s, counters))
     (Workloads.fig10a_cfds_per_relation scale)
 
@@ -150,16 +152,6 @@ let run scale =
     assert (List.map (fun (n, _, v) -> (n, v)) cnf = chrono_baseline_verdicts);
   let hardest_n, h_cdcl, _ = List.nth cnf (List.length cnf - 1) in
   let cdcl_total = List.fold_left (fun a (_, c, _) -> a +. c) 0. cnf in
-  (* crossover: the first sweep point where the race winner differs from
-     the first point's winner (null when the winner never flips) *)
-  let winner (_, chase_s, sat_s, _) = sat_s <= chase_s in
-  let crossover =
-    match race with
-    | [] -> None
-    | first :: rest ->
-        List.find_opt (fun p -> winner p <> winner first) rest
-        |> Option.map (fun (k, _, _, _) -> k)
-  in
   let oc = open_out "BENCH_sat.json" in
   let j = Printf.fprintf in
   j oc "{\n";
@@ -170,15 +162,17 @@ let run scale =
         "    {\"cfds_per_relation\": %d, \"chase_s\": %.6f, \"sat_s\": %.6f, \
          \"winner\": %S, \"counters\": {%s}}%s\n"
         k chase_s sat_s
-        (if sat_s <= chase_s then "sat" else "chase")
+        (winner ~chase_s ~sat_s)
         (String.concat ", "
            (List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) counters))
         (if i = List.length race - 1 then "" else ","))
     race;
   j oc "  ],\n";
-  (match crossover with
-  | Some k -> j oc "  \"crossover_cfds_per_relation\": %d,\n" k
-  | None -> j oc "  \"crossover_cfds_per_relation\": null,\n");
+  j oc "  \"winners\": [%s],\n"
+    (String.concat ", "
+       (List.map
+          (fun (_, chase_s, sat_s, _) -> Printf.sprintf "%S" (winner ~chase_s ~sat_s))
+          race));
   j oc "  \"cnf\": [\n";
   List.iteri
     (fun i (n, cdcl_s, verdicts) ->

@@ -71,8 +71,9 @@ let of_consistent_rel ?avoid schema ~rel = function
 let consistent ?(backend = Chase_backend) ?budget ?policy ?avoid ?k_cfd
     ?recorder ~rng schema cfds ~rel =
   match
-    Cfd_checking.consistent_rel ~backend ?policy ?budget ?avoid ?k_cfd
-      ?recorder ~rng schema cfds ~rel
+    Cfd_checking.consistent_rel ~backend ?policy ?budget
+      ?avoid:(Option.map Lazy.from_val avoid) ?k_cfd ?recorder ~rng schema cfds
+      ~rel
   with
   | r -> of_consistent_rel ?avoid schema ~rel r
   | exception Guard.Exhausted r -> Unknown r

@@ -55,6 +55,7 @@ let m_threshold_hits = Telemetry.counter "chase.threshold_hits" ~doc:"IND(psi) r
 let m_budget_exceeded = Telemetry.counter "chase.budget_exceeded" ~doc:"chase loops stopped by the step budget"
 let m_drained = Telemetry.counter "chase.delta.drained" ~doc:"dirty worklist entries drained (tuples re-examined)"
 let m_skipped = Telemetry.counter "chase.delta.skipped" ~doc:"tuple re-checks skipped versus a full rescan"
+let m_cfds_compiled = Telemetry.counter "chase.cfds_compiled" ~doc:"CFDs compiled to positions (eagerly, or at their first FD-pick visit)"
 
 let default_config = { pool_size = 2; threshold = 2000; max_steps = 20_000 }
 
@@ -85,6 +86,7 @@ type compiled_cfd = {
   f_rel : string;
   f_tx : (int * Pattern.cell) list;
   f_a : int;
+  f_attr : string; (* the attribute at [f_a] *)
   f_ta : Pattern.cell;
 }
 
@@ -114,15 +116,20 @@ let compile_cind schema (nf : Cind.nf) =
     i_rest = rest;
   }
 
-let compile_cfd schema (nf : Cfd.nf) =
-  let r = Db_schema.find schema nf.Cfd.nf_rel in
+(* [position attr] resolves an attribute of the CFD's relation. *)
+let compile_cfd_with ~position (nf : Cfd.nf) =
+  Telemetry.incr m_cfds_compiled;
   {
-    f_name = nf.nf_name;
+    f_name = nf.Cfd.nf_name;
     f_rel = nf.nf_rel;
-    f_tx = List.map2 (fun a c -> (Schema.position r a, c)) nf.nf_x nf.nf_tx;
-    f_a = Schema.position r nf.nf_a;
+    f_tx = List.map2 (fun a c -> (position a, c)) nf.nf_x nf.nf_tx;
+    f_a = position nf.nf_a;
+    f_attr = nf.nf_a;
     f_ta = nf.nf_ta;
   }
+
+let compile_cfd schema (nf : Cfd.nf) =
+  compile_cfd_with ~position:(Schema.position (Db_schema.find schema nf.Cfd.nf_rel)) nf
 
 type compiled = { cinds : compiled_cind list; cfds : compiled_cfd list }
 
@@ -131,6 +138,70 @@ let compile schema (sigma : Sigma.nf) =
     cinds = List.map (compile_cind schema) sigma.Sigma.ncinds;
     cfds = List.map (compile_cfd schema) sigma.ncfds;
   }
+
+(* --- CFD sets ------------------------------------------------------------------
+
+   The CFDs an FD fixpoint chases with, in compiled order.  A lazy set
+   holds normal forms and compiles each CFD the first time an FD pick
+   visits it: a fixpoint that dies on a clash among the first CFDs of a
+   wide relation never pays for the rest.  Its positions come from one
+   attribute -> position table per relation, built at the relation's
+   first compile.  A lazy set mutates its slots, so it belongs to one
+   domain; a set built from compiled CFDs is never written and may be
+   shared. *)
+
+type cfd_slot = Compiled of compiled_cfd | Pending of Cfd.nf
+
+type cfd_set = {
+  s_slots : cfd_slot array;
+  s_rels : string list; (* constrained relations, first-appearance order *)
+  s_schema : Db_schema.t option; (* [Some] for a lazy set *)
+  s_positions : (string, (string, int) Hashtbl.t) Hashtbl.t;
+}
+
+let slot_rel = function Compiled c -> c.f_rel | Pending nf -> nf.Cfd.nf_rel
+
+let make_set schema slots =
+  let rels =
+    Array.fold_left
+      (fun acc slot ->
+        let rel = slot_rel slot in
+        if List.exists (String.equal rel) acc then acc else rel :: acc)
+      [] slots
+  in
+  { s_slots = slots; s_rels = List.rev rels; s_schema = schema; s_positions = Hashtbl.create 4 }
+
+let cfd_set cfds = make_set None (Array.of_list (List.map (fun c -> Compiled c) cfds))
+
+let lazy_cfd_set schema nfs =
+  make_set (Some schema) (Array.of_list (List.map (fun nf -> Pending nf) nfs))
+
+let set_position set schema rel =
+  let tbl =
+    match Hashtbl.find_opt set.s_positions rel with
+    | Some tbl -> tbl
+    | None ->
+        let r = Db_schema.find schema rel in
+        let tbl = Hashtbl.create (Schema.arity r) in
+        List.iteri (fun i a -> Hashtbl.replace tbl (Attribute.name a) i) (Schema.attrs r);
+        Hashtbl.add set.s_positions rel tbl;
+        tbl
+  in
+  fun attr ->
+    match Hashtbl.find_opt tbl attr with
+    | Some i -> i
+    | None ->
+        invalid_arg (Printf.sprintf "Schema.position: no attribute %S in %s" attr rel)
+
+(* The [i]th CFD, compiled on first use. *)
+let set_cfd set i =
+  match set.s_slots.(i) with
+  | Compiled c -> c
+  | Pending nf ->
+      let schema = Option.get set.s_schema in
+      let c = compile_cfd_with ~position:(set_position set schema nf.Cfd.nf_rel) nf in
+      set.s_slots.(i) <- Compiled c;
+      c
 
 (* --- dirty-tuple worklists ---------------------------------------------------
 
@@ -257,7 +328,7 @@ let fd_least cfd pending all =
    relation's view (live worklist entries, their count, its tuples, the
    tuples skipped) is built once, at the first CFD visited on it; the
    counters still count one re-examination per CFD visit. *)
-let fd_pick_delta cfds db (dirty : worklist) =
+let fd_pick_delta set db (dirty : worklist) =
   let views = Hashtbl.create 8 in
   let view rel =
     match Hashtbl.find_opt views rel with
@@ -274,19 +345,20 @@ let fd_pick_delta cfds db (dirty : worklist) =
         Hashtbl.add views rel v;
         v
   in
-  let rec go = function
-    | [] -> None
-    | cfd :: rest -> (
-        match view cfd.f_rel with
-        | None -> go rest
-        | Some (live, n, all, skipped) -> (
-            Telemetry.add m_drained n;
-            Telemetry.add m_skipped skipped;
-            match fd_least cfd live all with
-            | Some (_, _, act) -> Some act
-            | None -> go rest))
+  let slots = set.s_slots in
+  let rec go i =
+    if i >= Array.length slots then None
+    else
+      match view (slot_rel slots.(i)) with
+      | None -> go (i + 1)
+      | Some (live, n, all, skipped) -> (
+          Telemetry.add m_drained n;
+          Telemetry.add m_skipped skipped;
+          match fd_least (set_cfd set i) live all with
+          | Some (_, _, act) -> Some act
+          | None -> go (i + 1))
   in
-  go cfds
+  go 0
 
 (* One FD saturation pass.  [max_steps] is local fuel (fresh per pass,
    like the old per-call [fd_fixpoint] bound); [on_delta] observes every
@@ -294,10 +366,10 @@ let fd_pick_delta cfds db (dirty : worklist) =
    its worklists and the witness index.  On a violation-free pass the FD
    worklists are cleared: together with the invariant above this certifies
    there is no violating pair at all. *)
-let fd_saturate ~budget ~max_steps ~on_delta cfds (dirty : worklist) db =
+let fd_saturate ~budget ~max_steps ~on_delta set (dirty : worklist) db =
   let fuel = Guard.make ~fuel:max_steps () in
   let rec go db =
-    match fd_pick_delta cfds db dirty with
+    match fd_pick_delta set db dirty with
     | None ->
         Hashtbl.reset dirty;
         Ok db
@@ -336,24 +408,25 @@ let fd_step cfd db =
    exhaustion means this particular fixpoint attempt gave up, which callers
    may absorb (a failed heuristic attempt); shared-budget exhaustion also
    surfaces as [Exhausted] but with the shared budget marked spent, which
-   callers must propagate (Guard.recoverable makes the distinction). *)
-let fd_fixpoint ?budget ?(max_steps = 10_000) cfds db =
+   callers must propagate (Guard.recoverable makes the distinction).
+   Without [seed] every tuple of a constrained relation starts dirty; a
+   caller that knows [db] minus the [seed] tuples is FD-saturated passes
+   only those, which keeps the worklist invariant and so the schedule. *)
+let fd_fixpoint ?budget ?(max_steps = 10_000) ?seed set db =
   let budget = Guard.resolve budget in
   let dirty = wl_create () in
   let on_delta ~before:_ ~after:_ (d : Template.delta) =
     List.iter (fun (rel, t) -> wl_push dirty rel t) d.Template.d_added
   in
-  let seeded = Hashtbl.create 8 in
-  List.iter
-    (fun cfd ->
-      if not (Hashtbl.mem seeded cfd.f_rel) then begin
-        Hashtbl.add seeded cfd.f_rel ();
-        List.iter (wl_push dirty cfd.f_rel) (Template.tuples db cfd.f_rel)
-      end)
-    cfds;
+  (match seed with
+  | Some tuples -> List.iter (fun (rel, t) -> wl_push dirty rel t) tuples
+  | None ->
+      List.iter
+        (fun rel -> List.iter (wl_push dirty rel) (Template.tuples db rel))
+        set.s_rels);
   try
     Guard.probe ~budget "chase.fd_fixpoint";
-    match fd_saturate ~budget ~max_steps ~on_delta cfds dirty db with
+    match fd_saturate ~budget ~max_steps ~on_delta set dirty db with
     | Ok db -> Terminal db
     | Error why -> Undefined why
   with Guard.Exhausted r ->
@@ -734,10 +807,11 @@ let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
     Ind_cursor.create ~instantiated ~threshold:config.threshold pool schema
       compiled.cinds
   in
+  let cfds = cfd_set compiled.cfds in
   (* Relations constrained by some CFD: the only ones whose tuples belong
      on the FD worklists. *)
   let cfd_rels = Hashtbl.create 8 in
-  List.iter (fun cfd -> Hashtbl.replace cfd_rels cfd.f_rel ()) compiled.cfds;
+  List.iter (fun rel -> Hashtbl.replace cfd_rels rel ()) cfds.s_rels;
   let fd_dirty = wl_create () in
   Hashtbl.iter
     (fun rel () -> List.iter (wl_push fd_dirty rel) (Template.tuples db rel))
@@ -758,8 +832,7 @@ let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
   let rec go db =
     Guard.check budget;
     match
-      fd_saturate ~budget ~max_steps:config.max_steps ~on_delta compiled.cfds fd_dirty
-        db
+      fd_saturate ~budget ~max_steps:config.max_steps ~on_delta cfds fd_dirty db
     with
     | Error why -> Undefined why
     | Ok db -> (
@@ -788,15 +861,18 @@ let run ?(instantiated = false) ?budget ~config ~rng schema compiled db =
    K_CFD accuracy trade-off of Fig 10(b) lives. *)
 (* Constants forced as CFD conclusions, per (relation, attribute) — the
    values later FD steps may demand of a column. *)
-let conclusion_constants schema cfds =
-  List.filter_map
-    (fun cfd ->
-      match cfd.f_ta with
-      | Pattern.Const v ->
-          let r = Db_schema.find schema cfd.f_rel in
-          Some ((cfd.f_rel, Attribute.name (Schema.attr r cfd.f_a)), v)
-      | Pattern.Wildcard -> None)
-    cfds
+let conclusion_constants set =
+  Array.fold_right
+    (fun slot acc ->
+      let rel, attr, ta =
+        match slot with
+        | Compiled c -> (c.f_rel, c.f_attr, c.f_ta)
+        | Pending nf -> (nf.Cfd.nf_rel, nf.nf_a, nf.nf_ta)
+      in
+      match ta with
+      | Pattern.Const v -> ((rel, attr), v) :: acc
+      | Pattern.Wildcard -> acc)
+    set.s_slots []
 
 let instantiate_finite_vars ?(prefer = fun _ _ -> []) ?(avoid = []) rng db =
   let schema = Template.schema db in

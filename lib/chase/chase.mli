@@ -50,6 +50,23 @@ val compile : Db_schema.t -> Sigma.nf -> compiled
 val compile_cind : Db_schema.t -> Cind.nf -> compiled_cind
 val compile_cfd : Db_schema.t -> Cfd.nf -> compiled_cfd
 
+(** {1 CFD sets}
+
+    The CFDs an FD fixpoint chases with, in compiled order. *)
+
+type cfd_set
+
+val cfd_set : compiled_cfd list -> cfd_set
+(** A set of CFDs compiled beforehand.  It is never written, so domains
+    may share it. *)
+
+val lazy_cfd_set : Db_schema.t -> Cfd.nf list -> cfd_set
+(** A set that compiles each CFD the first time an FD pick visits it, with
+    positions resolved through one attribute table per relation.  The
+    chase does exactly what it does on [cfd_set (List.map (compile_cfd
+    schema) nfs)]; only the CFDs it never reaches stay uncompiled.  The
+    set writes its slots as it goes: use it from one domain. *)
+
 (** {1 Single operations} *)
 
 type fd_result =
@@ -64,13 +81,18 @@ val fd_step : compiled_cfd -> Template.t -> fd_result
 val fd_fixpoint :
   ?budget:Guard.t ->
   ?max_steps:int ->
-  compiled_cfd list ->
+  ?seed:(string * Template.tuple) list ->
+  cfd_set ->
   Template.t ->
   outcome
 (** Chase with CFDs only, to fixpoint — the core of CFD_Checking.
     [max_steps] is a local fuel bound (exhaustion yields
     [Exhausted Guard.Fuel]); [budget] (default: ambient) is the shared
-    deadline/fuel/cancellation budget. *)
+    deadline/fuel/cancellation budget.  [seed] (default: every tuple of a
+    constrained relation) is the initial dirty set, as (relation, tuple)
+    pairs; the caller guarantees that every violating pair of the
+    template contains a seed tuple, as when the template without them is
+    a fixpoint.  The outcome does not depend on it. *)
 
 type ind_result =
   | Ind_changed of Template.t
@@ -149,9 +171,9 @@ val run :
     the caller's shared deadline/fuel.  Fault probes ["chase.run"] and
     ["chase.delta"] fire on entry. *)
 
-val conclusion_constants :
-  Db_schema.t -> compiled_cfd list -> ((string * string) * Value.t) list
-(** Constants forced by CFD conclusions, keyed by (relation, attribute). *)
+val conclusion_constants : cfd_set -> ((string * string) * Value.t) list
+(** Constants forced by CFD conclusions, keyed by (relation, attribute),
+    in compiled order.  Compiles nothing. *)
 
 val instantiate_finite_vars :
   ?prefer:(string -> string -> Value.t list) ->

@@ -34,15 +34,17 @@ type template_outcome =
   | Contradiction
   | Exhausted_k
 
-let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
-    compiled_cfds db =
+let no_avoid = Lazy.from_val []
+
+let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = no_avoid) ?seed
+    ~rng cfds db =
   Telemetry.incr m_calls;
   let budget = Guard.resolve budget in
   Guard.probe ~budget "checking.cfd";
   (* Local exhaustion of the fd-fixpoint's step fuel counts as a failed
      attempt (the heuristic gives up, as with K_CFD); exhaustion of the
      shared budget — or an injected fault — must surface to the caller. *)
-  match Chase.fd_fixpoint ~budget compiled_cfds db with
+  match Chase.fd_fixpoint ~budget ?seed cfds db with
   | Chase.Exhausted r when Guard.recoverable ~shared:budget r -> Exhausted_k
   | Chase.Exhausted r -> raise (Guard.Exhausted r)
   | Chase.Undefined _ ->
@@ -58,9 +60,8 @@ let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
           (* Group the demanded constants by interned (relation, attribute)
              once, instead of a string-comparing scan per variable per
              K_CFD attempt. *)
-          let demanded =
-            Chase.conclusion_constants (Template.schema db) compiled_cfds
-          in
+          let demanded = Chase.conclusion_constants cfds in
+          let avoid = Lazy.force avoid in
           let demanded_tbl = Hashtbl.create 16 in
           List.iter
             (fun ((r, a), v) ->
@@ -81,7 +82,7 @@ let check_template_outcome ?budget ?(k_cfd = 100) ?(avoid = []) ~rng
             else
               let () = Telemetry.incr m_kcfd_retries in
               let candidate = Chase.instantiate_finite_vars ~prefer ~avoid rng db in
-              match Chase.fd_fixpoint ~budget compiled_cfds candidate with
+              match Chase.fd_fixpoint ~budget cfds candidate with
               | Chase.Terminal done_db when Template.finite_variables done_db = [] ->
                   Instantiated done_db
               | Chase.Terminal _ | Chase.Undefined _ -> attempts (k - 1)
@@ -215,9 +216,9 @@ let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?avoid ?k_cfd
   List.iter (Read_set.record_cfd recorder) cfds_on_rel;
   let via_chase () =
     Telemetry.incr m_chase_calls;
-    let compiled = List.map (Chase.compile_cfd schema) cfds_on_rel in
     match
-      check_template_outcome ?budget ?k_cfd ?avoid ~rng compiled
+      check_template_outcome ?budget ?k_cfd ?avoid ~rng
+        (Chase.lazy_cfd_set schema cfds_on_rel)
         (Chase.seed_tuple schema ~rel)
     with
     | Contradiction -> No_tuple
@@ -229,7 +230,10 @@ let consistent_rel ?(backend = Chase_backend) ?policy ?budget ?avoid ?k_cfd
   | Chase_backend -> via_chase ()
   | Sat_backend -> (
       Telemetry.incr m_sat_calls;
-      match consistent_rel_sat ?budget ?avoid schema cfds ~rel with
+      match
+        consistent_rel_sat ?budget ?avoid:(Option.map Lazy.force avoid) schema
+          cfds ~rel
+      with
       | None -> No_tuple
       | Some tuple ->
           Tuple
@@ -269,6 +273,8 @@ let consistent_many ?backend ?policy ?budget ?avoid ?k_cfd ?jobs ?chunk
         (nf :: Option.value ~default:[] (Hashtbl.find_opt by_rel nf.Cfd.nf_rel)))
     (List.rev cfds);
   let group rel = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
+  (* already forced, so the items may share it across domains *)
+  let avoid = Option.map Lazy.from_val avoid in
   let n = List.length rels in
   let items = List.combine (Rng.split_n rng n) rels in
   let run_one (rng_i, rel) =

@@ -27,15 +27,19 @@ type template_outcome =
 val check_template_outcome :
   ?budget:Guard.t ->
   ?k_cfd:int ->
-  ?avoid:Value.t list ->
+  ?avoid:Value.t list Lazy.t ->
+  ?seed:(string * Template.tuple) list ->
   rng:Rng.t ->
-  Chase.compiled_cfd list ->
+  Chase.cfd_set ->
   Template.t ->
   template_outcome
 (** Chase a template with CFDs only, then try up to [k_cfd] random
     valuations of the remaining finite-domain variables: a template whose
     finite-domain variables are all constants, a definitive refutation,
-    or the heuristic give-up.
+    or the heuristic give-up.  [avoid] is forced only when a valuation is
+    drawn.  [seed] is the first fixpoint's initial dirty set
+    ({!Chase.fd_fixpoint}): the tuples added to a template that was
+    already FD-saturated.
     @raise Guard.Exhausted when the shared [budget] (default: ambient) runs
     dry or an armed fault fires; local step-fuel exhaustion of the
     fixpoint is swallowed as a failed attempt. *)
@@ -60,7 +64,7 @@ val consistent_rel :
   ?backend:backend ->
   ?policy:Supervise.Policy.t ->
   ?budget:Guard.t ->
-  ?avoid:Value.t list ->
+  ?avoid:Value.t list Lazy.t ->
   ?k_cfd:int ->
   ?recorder:Read_set.t ->
   rng:Rng.t ->
@@ -70,7 +74,9 @@ val consistent_rel :
   witness
 (** Uniform front-end: the instantiated tuple template τ(rel) satisfying
     CFD(rel), a definitive [No_tuple], or [Gave_up] (chase backend only —
-    the SAT backend is complete).  A [recorder] notes [rel] and the CFDs
+    the SAT backend is complete).  The chase backend compiles CFD(rel)
+    lazily ({!Chase.lazy_cfd_set}); [avoid] is forced only by the SAT
+    encoding or a drawn valuation.  A [recorder] notes [rel] and the CFDs
     on [rel] (the only dependencies the verdict can depend on).  When
     [policy] (default: the ambient {!Supervise.Policy}) allows
     degradation and the SAT backend raises an injected fault while the

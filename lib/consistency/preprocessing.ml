@@ -30,38 +30,46 @@ let m_pruned_indegree0 = Telemetry.counter "checking.preprocess.pruned_indegree0
 let m_bot_cfds = Telemetry.counter "checking.preprocess.nontriggering_cfds" ~doc:"non-triggering CFDs CIND(Rj,R)_bot pushed to predecessors"
 let m_components = Telemetry.counter "checking.preprocess.components" ~doc:"weakly connected components handed to RandomChecking"
 
-(* The non-triggering CFDs CIND(Rj, R)⊥ for one CIND ψ from Rj to R:
-   (Rj : Xp -> A, (tp[Xp] || c1)) and (Rj : Xp -> A, (tp[Xp] || c2)) with
-   c1 <> c2, denying every Rj tuple that matches tp[Xp]. *)
-let non_triggering schema (cind : Cind.nf) =
-  let rj = Db_schema.find schema cind.Cind.nf_lhs in
-  (* an attribute offering two distinct constants *)
-  let pick_attr () =
-    let viable attr =
-      let dom = Attribute.domain attr in
-      match Domain.cardinal dom with Some n -> n >= 2 | None -> true
-    in
-    List.find_opt viable (Schema.attrs rj)
+(* The denial of relation Rj: its first attribute whose domain offers two
+   distinct constants, with two of them.  [None] when every domain is a
+   singleton (denial impossible — pathological). *)
+let denial schema rel =
+  let viable attr =
+    match Domain.cardinal (Attribute.domain attr) with
+    | Some n -> n >= 2
+    | None -> true
   in
-  match pick_attr () with
-  | None -> [] (* all domains are singletons: denial impossible (pathological) *)
+  match List.find_opt viable (Schema.attrs (Db_schema.find schema rel)) with
+  | None -> None
   | Some attr ->
       let dom = Attribute.domain attr in
       let c1 = Domain.fresh dom ~avoid:[] |> Option.get in
       let c2 = Domain.fresh dom ~avoid:[ c1 ] |> Option.get in
+      Some (Attribute.name attr, c1, c2)
+
+(* The non-triggering CFDs CIND(Rj, R)⊥ for one CIND ψ from Rj to R:
+   (Rj : Xp -> A, (tp[Xp] || c1)) and (Rj : Xp -> A, (tp[Xp] || c2)) with
+   c1 <> c2, denying every Rj tuple that matches tp[Xp]. *)
+let bots_of_denial (cind : Cind.nf) = function
+  | None -> []
+  | Some (a, c1, c2) ->
+      let name = Printf.sprintf "%s_bot" cind.Cind.nf_name in
       let x = List.map fst cind.nf_xp in
       let tx = List.map (fun (_, v) -> Pattern.Const v) cind.nf_xp in
       let make c =
         {
-          Cfd.nf_name = Printf.sprintf "%s_bot" cind.nf_name;
+          Cfd.nf_name = name;
           nf_rel = cind.nf_lhs;
           nf_x = x;
-          nf_a = Attribute.name attr;
+          nf_a = a;
           nf_tx = tx;
           nf_ta = Pattern.Const c;
         }
       in
       [ make c1; make c2 ]
+
+let non_triggering schema (cind : Cind.nf) =
+  bots_of_denial cind (denial schema cind.Cind.nf_lhs)
 
 (* Does the instantiated template tuple τ(R) trigger ψ?  Pattern-free CINDs
    (Xp = nil) are triggered by any tuple; otherwise every Xp field must
@@ -88,7 +96,24 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
   let g = Depgraph.make schema sigma in
   let sccs = Depgraph.sccs g in
   Telemetry.add m_sccs (List.length sccs);
-  let avoid = Sigma.constant_values sigma in
+  (* Σ's constants are read only to concretize a witness or draw a
+     valuation; most vertices never need them. *)
+  let avoid = lazy (Sigma.constant_values sigma) in
+  (* The denial depends on the CIND's LHS relation only: computed once
+     per relation. *)
+  let denials = Hashtbl.create 8 in
+  let non_triggering (cind : Cind.nf) =
+    let rel = cind.Cind.nf_lhs in
+    let d =
+      match Hashtbl.find_opt denials rel with
+      | Some d -> d
+      | None ->
+          let d = denial schema rel in
+          Hashtbl.add denials rel d;
+          d
+    in
+    bots_of_denial cind d
+  in
   (* The work queue and the CIND grouping key on interned symbol ids
      (reusing the global table Depgraph vertices are keyed on), so
      re-queueing and the per-vertex trigger test never re-hash relation
@@ -128,9 +153,10 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
             |> List.exists (fun c -> tuple_triggers schema c tau)
           in
           if not triggering then begin
-            let db = singleton_db schema ~rel:r ~avoid tau in
+            let db = singleton_db schema ~rel:r ~avoid:(Lazy.force avoid) tau in
             (* sanity: the one-tuple database must satisfy Σ *)
-            if Sigma.nf_holds db sigma then outcome := Some (Consistent db)
+            if Sigma.nf_holds_single db sigma ~rel:r then
+              outcome := Some (Consistent db)
           end
       | Cfd_checking.No_tuple | Cfd_checking.Gave_up ->
           (* CFD(r) inconsistent — or presumed so after the heuristic
@@ -140,7 +166,7 @@ let run ?backend ?budget ?k_cfd ~rng schema (sigma : Sigma.nf) =
           List.iter
             (fun rj ->
               let bots =
-                List.concat_map (non_triggering schema)
+                List.concat_map non_triggering
                   (Depgraph.cinds_between g ~src:rj ~dst:r)
               in
               if bots <> [] then begin

@@ -22,8 +22,7 @@ let () = Guard.register_probe "checking.random"
 let m_runs = Telemetry.counter "checking.random.runs" ~doc:"RandomChecking chase runs attempted (K budget consumed)"
 let m_successes = Telemetry.counter "checking.random.successes" ~doc:"RandomChecking runs ending in a verified witness"
 
-let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
-    (compiled : Chase.compiled) db =
+let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema ~cinds cfds db =
   let pool = Pool.make ~n:config.Chase.pool_size in
   (* IND steps fill unknown fields with pool *variables* (instantiated:
      false): the interleaved CFD_Checking then chooses finite-domain values
@@ -37,13 +36,17 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
      worklists whenever CFD_Checking rewrote the template in between.
      Each run owns its cursor and so its own witness index (the index is
      not domain-safe); CFD substitutions between IND steps are caught by
-     the cursor's and the index's physical-identity staleness checks. *)
-  let cinds = Rng.shuffle rng compiled.Chase.cinds in
+     the cursor's and the index's physical-identity staleness checks.
+
+     The template CFD_Checking returns is FD-saturated, and an IND step
+     adds one tuple to it: only that tuple can be part of a violating
+     pair, so it alone seeds the next CFD_Checking's fixpoint. *)
+  let cinds = Rng.shuffle rng cinds in
   let cursor =
     Chase.Ind_cursor.create ~instantiated:false
       ~threshold:config.Chase.threshold pool schema cinds
   in
-  let rec loop db steps =
+  let rec loop ?seed db steps =
     if steps > config.Chase.max_steps then begin
       Guard.reraise_if_spent budget;
       None
@@ -51,13 +54,14 @@ let chase_run ~budget ~config ~k_cfd ~avoid ~rng schema
     else begin
       Guard.tick budget;
       match
-        Cfd_checking.check_template_outcome ~budget ~k_cfd ~avoid ~rng
-          compiled.Chase.cfds db
+        Cfd_checking.check_template_outcome ~budget ~k_cfd ~avoid ?seed ~rng
+          cfds db
       with
       | Cfd_checking.Contradiction | Cfd_checking.Exhausted_k -> None
       | Cfd_checking.Instantiated db -> (
           match Chase.Ind_cursor.step ~budget cursor ~rng db with
-          | Chase.Ind_cursor.Step_applied { db = db'; _ } -> loop db' (steps + 1)
+          | Chase.Ind_cursor.Step_applied { db = db'; rel; tuple } ->
+              loop ~seed:[ (rel, tuple) ] db' (steps + 1)
           | Chase.Ind_cursor.Step_none -> Some db (* chase_I terminal *)
           | Chase.Ind_cursor.Step_overflow _ -> None)
     end
@@ -73,7 +77,9 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
   try
     Guard.probe ~budget "checking.random";
     let compiled = Chase.compile schema sigma in
-    let avoid = Sigma.constant_values sigma in
+    (* both shared by the runs, so built eagerly: domains may read them *)
+    let cfds = Chase.cfd_set compiled.Chase.cfds in
+    let avoid = Lazy.from_val (Sigma.constant_values sigma) in
     let seed_rels =
       match seed_rels with Some rels -> rels | None -> Db_schema.rel_names schema
     in
@@ -93,11 +99,11 @@ let check ?budget ?(config = Chase.default_config) ?(k = 20) ?(k_cfd = 100)
           let rel = Rng.pick run_rng seed_rels in
           let db = Chase.seed_tuple schema ~rel in
           Telemetry.with_span "checking.random_run" @@ fun () ->
-          chase_run ~budget:child ~config ~k_cfd ~avoid ~rng:run_rng
-            schema compiled db
+          chase_run ~budget:child ~config ~k_cfd ~avoid ~rng:run_rng schema
+            ~cinds:compiled.Chase.cinds cfds db
         with
         | Some terminal ->
-            let concrete = Template.to_database ~avoid terminal in
+            let concrete = Template.to_database ~avoid:(Lazy.force avoid) terminal in
             if (not (Database.is_empty concrete)) && Sigma.nf_holds concrete sigma
             then begin
               Telemetry.incr m_successes;

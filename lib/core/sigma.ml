@@ -41,6 +41,18 @@ let holds db t =
 let nf_holds db nf =
   List.for_all (Cfd.nf_holds db) nf.ncfds && List.for_all (Cind.nf_holds db) nf.ncinds
 
+(* On a database whose only nonempty relation is [rel], a CFD on another
+   relation has no tuples to constrain and a CIND from another relation
+   has nothing to witness: only CFD(rel) and the CINDs from [rel] can
+   fail. *)
+let nf_holds_single db nf ~rel =
+  List.for_all
+    (fun c -> (not (String.equal c.Cfd.nf_rel rel)) || Cfd.nf_holds db c)
+    nf.ncfds
+  && List.for_all
+       (fun c -> (not (String.equal c.Cind.nf_lhs rel)) || Cind.nf_holds db c)
+       nf.ncinds
+
 (* CFDs of Σ defined on relation R — the paper's CFD(R). *)
 let cfds_on nf rel = List.filter (fun c -> String.equal c.Cfd.nf_rel rel) nf.ncfds
 

@@ -23,6 +23,11 @@ val holds : Database.t -> t -> bool
 
 val nf_holds : Database.t -> nf -> bool
 
+val nf_holds_single : Database.t -> nf -> rel:string -> bool
+(** [nf_holds db nf] for a [db] whose only nonempty relation is [rel]:
+    checks only CFD(rel) and the CINDs whose LHS is [rel], the only
+    constraints such a database can violate. *)
+
 val cfds_on : nf -> string -> Cfd.nf list
 (** The paper's [CFD(R)]: CFDs of Σ defined on relation [R]. *)
 

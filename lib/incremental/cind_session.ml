@@ -81,7 +81,7 @@ type t = {
      compiles by looking up every surviving CIND and compiling only the
      delta.  Keyed by content fingerprint, guarded structurally. *)
   s_imp_units : (Fingerprint.t, Cind.nf * Implication.compiled) Hashtbl.t;
-  s_cfds_compiled : (string, Fingerprint.t * Chase.compiled_cfd list) Hashtbl.t;
+  s_cfds_compiled : (string, Fingerprint.t * Chase.cfd_set) Hashtbl.t;
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_inval : int;
@@ -409,7 +409,7 @@ let warm_cfds t rel cfds ctx =
   | Some (fp, compiled) when t.s_cache_on && Fingerprint.equal fp ctx ->
       compiled
   | _ ->
-      let compiled = List.map (Chase.compile_cfd t.s_schema) cfds in
+      let compiled = Chase.cfd_set (List.map (Chase.compile_cfd t.s_schema) cfds) in
       if t.s_cache_on then Hashtbl.replace t.s_cfds_compiled rel (ctx, compiled);
       compiled
 

@@ -218,20 +218,24 @@ let test_column_constants () =
 
 let test_conclusion_constants () =
   let schema = string_schema "r" [ "a"; "b" ] in
-  let cfds =
-    List.map
-      (Chase.compile_cfd schema)
-      (List.concat_map Cfd.normalize
-         [
-           Cfd.make ~name:"c1" ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]
-             [ { Cfd.rx = [ wildcard ]; ry = [ const "v" ] } ];
-           Cfd.make ~name:"c2" ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]
-             [ { Cfd.rx = [ wildcard ]; ry = [ wildcard ] } ];
-         ])
+  let nfs =
+    List.concat_map Cfd.normalize
+      [
+        Cfd.make ~name:"c1" ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]
+          [ { Cfd.rx = [ wildcard ]; ry = [ const "v" ] } ];
+        Cfd.make ~name:"c2" ~rel:"r" ~x:[ "a" ] ~y:[ "b" ]
+          [ { Cfd.rx = [ wildcard ]; ry = [ wildcard ] } ];
+      ]
   in
-  match Chase.conclusion_constants schema cfds with
-  | [ (("r", "b"), v) ] -> check_bool "constant v" true (Value.equal v (str "v"))
-  | l -> Alcotest.failf "expected one conclusion constant, got %d" (List.length l)
+  List.iter
+    (fun (label, set) ->
+      match Chase.conclusion_constants set with
+      | [ (("r", "b"), v) ] -> check_bool (label ^ " constant v") true (Value.equal v (str "v"))
+      | l -> Alcotest.failf "%s: expected one conclusion constant, got %d" label (List.length l))
+    [
+      ("compiled", Chase.cfd_set (List.map (Chase.compile_cfd schema) nfs));
+      ("lazy", Chase.lazy_cfd_set schema nfs);
+    ]
 
 let test_ind_step_reuses_witnesses () =
   (* IND(ψ) must not add a tuple when a witness already exists. *)

@@ -119,6 +119,43 @@ let prop_constant_values seed =
 
 (* --- normalization and satisfaction ----------------------------------------- *)
 
+(* On a database whose only nonempty relation is R, [Sigma.nf_holds_single]
+   (CFD(R) and the CINDs from R) agrees with [Sigma.nf_holds] (all of Σ).
+   The schema gains a relation no constraint mentions, and R ranges over
+   all relations.  R's one to three tuples take each field from Σ's
+   constants on that attribute or the generator's witness value, so both
+   verdicts occur. *)
+let prop_nf_holds_single seed =
+  let schema, sigma = make_workload ~consistent:(seed mod 2 = 0) seed in
+  let lonely =
+    Schema.make "lonely"
+      [ Attribute.make "p" Domain.string_inf; Attribute.make "q" Domain.bool_dom ]
+  in
+  let schema = Db_schema.make (Db_schema.relations schema @ [ lonely ]) in
+  let rng = Rng.make (seed + 3) in
+  let r = Rng.pick rng (Db_schema.relations schema) in
+  let rel = Schema.name r in
+  let consts = Sigma.constants sigma in
+  let field attr =
+    let name = Attribute.name attr in
+    let pool =
+      Workload.witness_value attr
+      :: List.filter_map
+           (fun (r', a, v) ->
+             if r' = rel && a = name && Domain.mem (Attribute.domain attr) v then Some v
+             else None)
+           consts
+    in
+    Rng.pick rng pool
+  in
+  let db =
+    List.fold_left
+      (fun db _ -> Database.add_tuple db rel (Tuple.make (List.map field (Schema.attrs r))))
+      (Database.empty schema)
+      (List.init (1 + Rng.int rng 3) Fun.id)
+  in
+  Sigma.nf_holds db sigma = Sigma.nf_holds_single db sigma ~rel
+
 let prop_normalization_roundtrip seed =
   let _, sigma = make_workload ~consistent:false seed in
   List.for_all
@@ -350,6 +387,8 @@ let () =
         [
           qtest ~count:60 "nf roundtrip" seed_gen prop_normalization_roundtrip;
           qtest ~count:30 "nf satisfaction agrees" seed_gen prop_nf_satisfaction_agrees;
+          qtest ~count:100 "one-relation satisfaction checks only that relation"
+            seed_gen prop_nf_holds_single;
           qtest ~count:30 "FO readings agree with native semantics" seed_gen
             prop_logic_agrees;
           qtest ~count:60 "constant values sorted and distinct" seed_gen
